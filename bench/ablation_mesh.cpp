@@ -10,8 +10,8 @@
 //       operations (the archetype's precondition made quantitative);
 //   (d) persistent halo-exchange plans — A/B of the split-phase overlapped
 //       exchange (ExchangePlan2D, compiled once, core swept while halos are
-//       in flight) against the per-iteration blocking path
-//       (exchange_boundaries, replanned and completed before any compute),
+//       in flight) against the per-iteration blocking path (a plan
+//       compiled every step and completed before any compute),
 //       across p in {2,4,8} and multiple grid sizes; results are written to
 //       BENCH_mesh.json for cross-PR comparison.
 //
@@ -142,7 +142,8 @@ double run_halo_sweep(HaloMode mode, int nprocs, std::size_t n, int steps) {
           if (mode == HaloMode::kLegacyBlocking) {
             legacy_twophase_exchange(p, pgrid, u);
           } else {
-            mesh::exchange_boundaries(p, pgrid, u);
+            mesh::ExchangePlan2D plan(pgrid, p.rank(), u);  // replanned per step
+            plan.exchange(p, u);
           }
           mesh::for_region(all, relax);
           std::swap(u, v);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 verify (configure + build + ctest), the examples as
 # smoke tests (each prints a SELF-CHECK line and exits nonzero on failure),
-# and the substrate + mesh + task-runtime microbenchmarks in smoke
-# configuration. The build itself enforces -Wall -Wextra -Werror on
+# the repository benchmark's --check pass (bitwise oracles on all four
+# workloads), and the substrate + mesh + task-runtime microbenchmarks in
+# smoke configuration. The build itself enforces -Wall -Wextra -Werror on
 # src/meshspectral/ and src/core/ via the *_warning_check canary targets.
 # Run from the repo root:
 #
@@ -30,6 +31,9 @@ echo "==> examples (smoke: each must print SELF-CHECK ... ok and exit 0)"
 (cd "$BUILD_DIR" && ./stream_demo)
 (cd "$BUILD_DIR" && ./sparse_advection_demo)
 (cd "$BUILD_DIR" && ./compose_demo)
+
+echo "==> repository benchmark (check: every workload once against its oracle)"
+python3 bench/ppa_bench/run.py --check
 
 echo "==> substrate microbenchmarks (smoke)"
 (cd "$BUILD_DIR" && PPA_BENCH_SMOKE=1 ./micro_collectives)

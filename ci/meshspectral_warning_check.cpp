@@ -36,11 +36,6 @@ namespace {
                                       const mpl::CartGrid3D& pg3) {
   Grid2D<double> g2(8, 8, pg2, 0, 1);
   Grid3D<double> g3(8, 8, 8, pg3, 0, 1);
-  exchange_boundaries(p, pg2, g2);
-  exchange_boundaries_mixed(p, pg2, g2, Periodicity{true, false});
-  exchange_boundaries_periodic(p, pg2, g2);
-  exchange_boundaries(p, pg3, g3);
-
   ExchangePlan2D plan2(pg2, 0, g2);
   plan2.begin_exchange(p, g2);
   plan2.end_exchange(p, g2);
@@ -104,6 +99,13 @@ namespace {
   (void)bplan.off_rank_message_count();
   (void)bplan.local_copy_count();
   (void)gather_blocks(p, bs);
+  (void)gather_blocks(p, bs, 0, [](double v) { return static_cast<float>(v); });
+  (void)local_reduce(bs, 0.0, [](double a, double v) { return a + v; });
+  (void)block_layout(pg2, 8, 8, Periodicity{true, false});
+  (void)block_owners(pg2);
+  (void)block_layout(BlockConfig{2, 2, {}}, 4, 8, 8);
+  (void)block_owners(BlockConfig{}, 4);
+  (void)require_domain(layout, 8, 8, Periodicity{true, false}, "check");
   scatter_blocks(p, Array2D<double>(8, 8), bs);
 
   // Kernel layer: field views, sweep drivers, row kernels, SoA field.

@@ -3,9 +3,10 @@
 // The Jacobi Poisson solver (paper section 6): solve the unit-square
 // problem with a heated-patch right-hand side on 4 SPMD processes, report
 // convergence, and render the solution field. The solver iterates on the
-// split-phase exchange: a persistent ExchangePlan2D is begun each
-// iteration, the ghost-independent core is relaxed while the halos are in
-// flight, and the rim is relaxed after end_exchange.
+// split-phase exchange: a persistent BlockExchangePlan2D round (one block
+// per process) is begun each iteration, the ghost-independent core is
+// relaxed while the halos are in flight, and the rim is relaxed after
+// end_exchange_all.
 //
 // Runs as a smoke test: prints one SELF-CHECK line and exits nonzero on
 // failure (converged, positive iteration count, and a hot interior).

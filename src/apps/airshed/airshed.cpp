@@ -30,8 +30,7 @@ Chem chem_rhs(const Chem& c, double j, double k, double kv_eff, double voc_cons)
 }
 
 /// One cell of first-order upwind advection + central diffusion, applied
-/// componentwise. Shared by the single-grid and block transport sweeps —
-/// their bitwise parity rests on this being the same arithmetic.
+/// componentwise.
 Chem advect_cell(const mesh::Grid2D<Chem>& c, std::ptrdiff_t i,
                  std::ptrdiff_t j, double u, double v, double kdiff, double dt,
                  double dx, double dy) {
@@ -63,7 +62,7 @@ Chem advect_cell(const mesh::Grid2D<Chem>& c, std::ptrdiff_t i,
   return out;
 }
 
-/// One cell of RK4 chemistry (clipped); shared by both solvers.
+/// One cell of RK4 chemistry (clipped).
 Chem chem_cell(const Chem& c0, double j, double k, double kv_eff, double vc,
                double dt) {
   const Chem k1 = chem_rhs(c0, j, k, kv_eff, vc);
@@ -86,8 +85,7 @@ double diurnal_photolysis(const AirshedConfig& cfg, double hour) {
   return cfg.rate_j_max * std::sin(std::numbers::pi * (t - 6.0) / 12.0);
 }
 
-/// The background field and the two-hotspot emission map (shared so both
-/// solvers initialize identically).
+/// The background field and the two-hotspot emission map.
 Chem background_cell(const AirshedConfig& cfg) {
   return Chem{0.001, 0.002, cfg.background_o3, cfg.background_voc};
 }
@@ -107,23 +105,45 @@ Chem emission_cell(const AirshedConfig& cfg, double dx, double dy,
               cfg.emission_voc * strength};
 }
 
+double pick_species(const Chem& q, int species) {
+  switch (species) {
+    case 0: return q.no;
+    case 1: return q.no2;
+    case 2: return q.o3;
+    default: return q.voc;
+  }
+}
+
+/// The domain topology: fully periodic or fully open.
+mesh::Periodicity periodicity(const AirshedConfig& cfg) {
+  return mesh::Periodicity{cfg.periodic, cfg.periodic};
+}
+
 }  // namespace
 
 AirshedSim::AirshedSim(mpl::Process& p, const mpl::CartGrid2D& pgrid,
                        const AirshedConfig& cfg)
+    : AirshedSim(p, mesh::block_layout(pgrid, cfg.nx, cfg.ny, periodicity(cfg)),
+                 mesh::block_owners(pgrid), cfg) {}
+
+AirshedSim::AirshedSim(mpl::Process& p, const mesh::BlockLayout2D& layout,
+                       const std::vector<int>& owner, const AirshedConfig& cfg)
     : p_(p),
-      pgrid_(pgrid),
       cfg_(cfg),
       dx_(cfg.lx / static_cast<double>(cfg.nx)),
       dy_(cfg.ly / static_cast<double>(cfg.ny)),
-      c_(cfg.nx, cfg.ny, pgrid, p.rank(), 1),
-      cnew_(cfg.nx, cfg.ny, pgrid, p.rank(), 1),
-      emissions_(cfg.nx, cfg.ny, pgrid, p.rank(), 0),
+      c_(mesh::require_domain(layout, cfg.nx, cfg.ny, periodicity(cfg),
+                              "AirshedSim"),
+         owner, p.rank()),
+      cnew_(layout, owner, p.rank()),
+      emissions_([&] {
+        mesh::BlockLayout2D e = layout;
+        e.ghost = 0;
+        return mesh::BlockSet<Chem>(e, owner, p.rank());
+      }()),
       // Upwind/diffusion is a 5-point stencil (no corner-ghost reads), so
-      // the plan skips the diagonal messages.
-      plan_(pgrid, p.rank(), c_,
-            mesh::ExchangePlan2D::Options{
-                mesh::Periodicity{cfg.periodic, cfg.periodic}, false, 0}) {
+      // the plan skips the diagonal strips.
+      plan_(c_) {
   init_background();
 }
 
@@ -140,7 +160,9 @@ void AirshedSim::set_field(const std::function<Chem(std::size_t, std::size_t)>& 
   c_.init_from_global(fn);
 }
 
-void AirshedSim::disable_emissions() { emissions_.fill(Chem{}); }
+void AirshedSim::disable_emissions() {
+  for (auto& b : emissions_) b.grid().fill(Chem{});
+}
 
 double AirshedSim::photolysis_rate(double hour) const {
   return diurnal_photolysis(cfg_, hour);
@@ -148,42 +170,54 @@ double AirshedSim::photolysis_rate(double hour) const {
 
 void AirshedSim::transport_step() {
   // Precondition: fresh shadow copies for the upwind/diffusion stencil.
-  // Split-phase: begin the exchange, sweep the ghost-independent core while
-  // halos are in flight, complete it (+ BC ghost fill), sweep the rim.
-  plan_.begin_exchange(p_, c_);
+  // Split-phase: begin the exchange, sweep every block's ghost-independent
+  // core while halos are in flight, complete it (+ BC ghost fill), sweep
+  // the rims.
+  plan_.begin_exchange_all(p_, c_);
 
   const double u = cfg_.wind_u;
   const double v = cfg_.wind_v;
   const double kdiff = cfg_.diffusion;
   const double dt = cfg_.dt;
+  const auto sweep = [&](std::size_t b, bool rim) {
+    const auto& cg = c_.block(b).grid();
+    auto& ng = cnew_.block(b).grid();
+    const mesh::Region2 all = mesh::interior_region(cg);
+    const mesh::Region2 core = mesh::core_region(cg, 1, all);
+    const auto cell = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+      ng(i, j) = advect_cell(cg, i, j, u, v, kdiff, dt, dx_, dy_);
+    };
+    if (rim) {
+      mesh::for_rim(all, core, cell);
+    } else {
+      mesh::for_region(core, cell);
+    }
+  };
 
-  const mesh::Region2 all = mesh::interior_region(c_);
-  const mesh::Region2 core = mesh::core_region(c_, 1, all);
-  mesh::for_region(core, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    cnew_(i, j) = advect_cell(c_, i, j, u, v, kdiff, dt, dx_, dy_);
-  });
-
-  plan_.end_exchange(p_, c_);
+  for (std::size_t b = 0; b < c_.size(); ++b) sweep(b, /*rim=*/false);
+  plan_.end_exchange_all(p_, c_);
   if (!cfg_.periodic) {
-    // Open boundaries: zero-gradient inflow/outflow ghosts.
-    const auto nx = static_cast<std::ptrdiff_t>(c_.nx());
-    const auto ny = static_cast<std::ptrdiff_t>(c_.ny());
-    if (c_.x_range().lo == 0) {
-      for (std::ptrdiff_t j = -1; j <= ny; ++j) c_(-1, j) = c_(0, j);
-    }
-    if (c_.x_range().hi == cfg_.nx) {
-      for (std::ptrdiff_t j = -1; j <= ny; ++j) c_(nx, j) = c_(nx - 1, j);
-    }
-    if (c_.y_range().lo == 0) {
-      for (std::ptrdiff_t i = -1; i <= nx; ++i) c_(i, -1) = c_(i, 0);
-    }
-    if (c_.y_range().hi == cfg_.ny) {
-      for (std::ptrdiff_t i = -1; i <= nx; ++i) c_(i, ny) = c_(i, ny - 1);
+    // Open boundaries: zero-gradient inflow/outflow ghosts on each block
+    // touching a global face.
+    for (auto& blk : c_) {
+      auto& g = blk.grid();
+      const auto nx = static_cast<std::ptrdiff_t>(g.nx());
+      const auto ny = static_cast<std::ptrdiff_t>(g.ny());
+      if (blk.x_range().lo == 0) {
+        for (std::ptrdiff_t j = -1; j <= ny; ++j) g(-1, j) = g(0, j);
+      }
+      if (blk.x_range().hi == cfg_.nx) {
+        for (std::ptrdiff_t j = -1; j <= ny; ++j) g(nx, j) = g(nx - 1, j);
+      }
+      if (blk.y_range().lo == 0) {
+        for (std::ptrdiff_t i = -1; i <= nx; ++i) g(i, -1) = g(i, 0);
+      }
+      if (blk.y_range().hi == cfg_.ny) {
+        for (std::ptrdiff_t i = -1; i <= nx; ++i) g(i, ny) = g(i, ny - 1);
+      }
     }
   }
-  mesh::for_rim(all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    cnew_(i, j) = advect_cell(c_, i, j, u, v, kdiff, dt, dx_, dy_);
-  });
+  for (std::size_t b = 0; b < c_.size(); ++b) sweep(b, /*rim=*/true);
 
   std::swap(c_, cnew_);
 }
@@ -195,19 +229,26 @@ void AirshedSim::chemistry_step() {
   const double kv_eff = cfg_.rate_kv * (j / cfg_.rate_j_max);
   const double vc = cfg_.voc_consumption;
   const double dt = cfg_.dt;
-  mesh::for_interior(c_, [&](std::ptrdiff_t i, std::ptrdiff_t jj) {
-    c_(i, jj) = chem_cell(c_(i, jj), j, k, kv_eff, vc, dt);
-  });
+  for (auto& b : c_) {
+    auto& g = b.grid();
+    mesh::for_interior(g, [&](std::ptrdiff_t i, std::ptrdiff_t jj) {
+      g(i, jj) = chem_cell(g(i, jj), j, k, kv_eff, vc, dt);
+    });
+  }
 }
 
 void AirshedSim::step() {
   transport_step();
   // Emissions (pointwise source injection).
-  mesh::for_interior(c_, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    c_(i, j).no += cfg_.dt * emissions_(i, j).no;
-    c_(i, j).no2 += cfg_.dt * emissions_(i, j).no2;
-    c_(i, j).voc += cfg_.dt * emissions_(i, j).voc;
-  });
+  for (std::size_t b = 0; b < c_.size(); ++b) {
+    auto& g = c_.block(b).grid();
+    const auto& e = emissions_.block(b).grid();
+    mesh::for_interior(g, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+      g(i, j).no += cfg_.dt * e(i, j).no;
+      g(i, j).no2 += cfg_.dt * e(i, j).no2;
+      g(i, j).voc += cfg_.dt * e(i, j).voc;
+    });
+  }
   chemistry_step();
   hour_ += cfg_.dt;
 }
@@ -215,17 +256,6 @@ void AirshedSim::step() {
 void AirshedSim::run(int steps) {
   for (int s = 0; s < steps; ++s) step();
 }
-
-namespace {
-double pick_species(const Chem& q, int species) {
-  switch (species) {
-    case 0: return q.no;
-    case 1: return q.no2;
-    case 2: return q.o3;
-    default: return q.voc;
-  }
-}
-}  // namespace
 
 double AirshedSim::total(int species) {
   const double local = mesh::local_reduce(c_, 0.0, [&](double acc, const Chem& q) {
@@ -254,194 +284,9 @@ double AirshedSim::min_concentration() {
 }
 
 Array2D<double> AirshedSim::gather_species(int species, int root) {
-  mesh::Grid2D<double> field(cfg_.nx, cfg_.ny, pgrid_, p_.rank(), 0);
-  mesh::for_interior(field, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    field(i, j) = pick_species(c_(i, j), species);
+  return mesh::gather_blocks(p_, c_, root, [species](const Chem& q) {
+    return pick_species(q, species);
   });
-  return mesh::gather_grid(p_, pgrid_, field, root);
-}
-
-// ----------------------------------------------------------- block sets --
-
-mesh::BlockLayout2D make_airshed_block_layout(const AirshedConfig& cfg,
-                                              int nprocs,
-                                              const AirshedBlockConfig& config) {
-  mesh::BlockLayout2D layout;
-  layout.global_nx = cfg.nx;
-  layout.global_ny = cfg.ny;
-  if (config.nbx > 0 && config.nby > 0) {
-    layout.nbx = config.nbx;
-    layout.nby = config.nby;
-  } else {
-    const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-    layout.nbx = pgrid.npx();
-    layout.nby = pgrid.npy();
-  }
-  layout.ghost = 1;
-  layout.periodic = mesh::Periodicity{cfg.periodic, cfg.periodic};
-  return layout;
-}
-
-AirshedBlockSim::AirshedBlockSim(mpl::Process& p,
-                                 const mesh::BlockLayout2D& layout,
-                                 const std::vector<int>& owner,
-                                 const AirshedConfig& cfg, bool batched)
-    : p_(p),
-      cfg_(cfg),
-      dx_(cfg.lx / static_cast<double>(cfg.nx)),
-      dy_(cfg.ly / static_cast<double>(cfg.ny)),
-      c_(layout, owner, p.rank()),
-      cnew_(layout, owner, p.rank()),
-      emissions_([&] {
-        mesh::BlockLayout2D e = layout;
-        e.ghost = 0;
-        return mesh::BlockSet<Chem>(e, owner, p.rank());
-      }()),
-      plan_(c_, mesh::BlockExchangeOptions{false, 0, batched, false, 0.0}) {
-  init_background();
-}
-
-void AirshedBlockSim::init_background() {
-  c_.init_from_global(
-      [&](std::size_t, std::size_t) { return background_cell(cfg_); });
-  emissions_.init_from_global([&](std::size_t gi, std::size_t gj) {
-    return emission_cell(cfg_, dx_, dy_, gi, gj);
-  });
-}
-
-void AirshedBlockSim::set_field(
-    const std::function<Chem(std::size_t, std::size_t)>& fn) {
-  c_.init_from_global(fn);
-}
-
-void AirshedBlockSim::disable_emissions() {
-  for (auto& b : emissions_) b.grid().fill(Chem{});
-}
-
-double AirshedBlockSim::photolysis_rate(double hour) const {
-  return diurnal_photolysis(cfg_, hour);
-}
-
-void AirshedBlockSim::transport_step() {
-  // The single-grid schedule lifted over the block set: one batched
-  // boundary round in flight while every owned block's core is swept.
-  plan_.begin_exchange_all(p_, c_);
-
-  const double u = cfg_.wind_u;
-  const double v = cfg_.wind_v;
-  const double kdiff = cfg_.diffusion;
-  const double dt = cfg_.dt;
-
-  for (std::size_t b = 0; b < c_.size(); ++b) {
-    const auto& cg = c_.block(b).grid();
-    auto& ng = cnew_.block(b).grid();
-    const mesh::Region2 all = mesh::interior_region(cg);
-    const mesh::Region2 core = mesh::core_region(cg, 1, all);
-    mesh::for_region(core, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      ng(i, j) = advect_cell(cg, i, j, u, v, kdiff, dt, dx_, dy_);
-    });
-  }
-
-  plan_.end_exchange_all(p_, c_);
-  if (!cfg_.periodic) {
-    // Open boundaries: zero-gradient ghosts on each block touching a
-    // global face — the same cells the single-grid fill covers.
-    for (auto& blk : c_) {
-      auto& g = blk.grid();
-      const auto nx = static_cast<std::ptrdiff_t>(g.nx());
-      const auto ny = static_cast<std::ptrdiff_t>(g.ny());
-      if (blk.x_range().lo == 0) {
-        for (std::ptrdiff_t j = -1; j <= ny; ++j) g(-1, j) = g(0, j);
-      }
-      if (blk.x_range().hi == cfg_.nx) {
-        for (std::ptrdiff_t j = -1; j <= ny; ++j) g(nx, j) = g(nx - 1, j);
-      }
-      if (blk.y_range().lo == 0) {
-        for (std::ptrdiff_t i = -1; i <= nx; ++i) g(i, -1) = g(i, 0);
-      }
-      if (blk.y_range().hi == cfg_.ny) {
-        for (std::ptrdiff_t i = -1; i <= nx; ++i) g(i, ny) = g(i, ny - 1);
-      }
-    }
-  }
-  for (std::size_t b = 0; b < c_.size(); ++b) {
-    const auto& cg = c_.block(b).grid();
-    auto& ng = cnew_.block(b).grid();
-    const mesh::Region2 all = mesh::interior_region(cg);
-    const mesh::Region2 core = mesh::core_region(cg, 1, all);
-    mesh::for_rim(all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      ng(i, j) = advect_cell(cg, i, j, u, v, kdiff, dt, dx_, dy_);
-    });
-  }
-
-  std::swap(c_, cnew_);
-}
-
-void AirshedBlockSim::chemistry_step() {
-  const double j = photolysis_rate(hour_);
-  const double k = cfg_.rate_k;
-  const double kv_eff = cfg_.rate_kv * (j / cfg_.rate_j_max);
-  const double vc = cfg_.voc_consumption;
-  const double dt = cfg_.dt;
-  for (auto& b : c_) {
-    auto& g = b.grid();
-    mesh::for_interior(g, [&](std::ptrdiff_t i, std::ptrdiff_t jj) {
-      g(i, jj) = chem_cell(g(i, jj), j, k, kv_eff, vc, dt);
-    });
-  }
-}
-
-void AirshedBlockSim::step() {
-  transport_step();
-  for (std::size_t b = 0; b < c_.size(); ++b) {
-    auto& g = c_.block(b).grid();
-    const auto& e = emissions_.block(b).grid();
-    mesh::for_interior(g, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      g(i, j).no += cfg_.dt * e(i, j).no;
-      g(i, j).no2 += cfg_.dt * e(i, j).no2;
-      g(i, j).voc += cfg_.dt * e(i, j).voc;
-    });
-  }
-  chemistry_step();
-  hour_ += cfg_.dt;
-}
-
-void AirshedBlockSim::run(int steps) {
-  for (int s = 0; s < steps; ++s) step();
-}
-
-double AirshedBlockSim::total(int species) {
-  double local = 0.0;
-  for (const auto& b : c_) {
-    local = mesh::local_reduce(b.grid(), local, [&](double acc, const Chem& q) {
-      return acc + pick_species(q, species);
-    });
-  }
-  return p_.allreduce(local, mpl::SumOp{}) * dx_ * dy_;
-}
-
-double AirshedBlockSim::total_nitrogen() {
-  double local = 0.0;
-  for (const auto& b : c_) {
-    local = mesh::local_reduce(b.grid(), local, [](double acc, const Chem& q) {
-      return acc + q.no + q.no2;
-    });
-  }
-  return p_.allreduce(local, mpl::SumOp{}) * dx_ * dy_;
-}
-
-Array2D<double> AirshedBlockSim::gather_species(int species, int root) {
-  mesh::BlockLayout2D field_layout = c_.layout();
-  field_layout.ghost = 0;
-  mesh::BlockSet<double> field(field_layout, c_.owner_map(), p_.rank());
-  for (std::size_t b = 0; b < c_.size(); ++b) {
-    const auto& cg = c_.block(b).grid();
-    auto& fg = field.block(b).grid();
-    mesh::for_interior(fg, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      fg(i, j) = pick_species(cg(i, j), species);
-    });
-  }
-  return mesh::gather_blocks(p_, field, root);
 }
 
 }  // namespace ppa::app

@@ -22,10 +22,11 @@
 // structure):
 //   1. transport  — advection by a prescribed wind field (first-order
 //                   upwind) + eddy diffusion: stencil grid operation with a
-//                   boundary exchange precondition. Split-phase since PR 2:
-//                   a persistent ExchangePlan2D is begun, the ghost-
-//                   independent core is swept while halos are in flight,
-//                   and the rim is swept after end_exchange (+ BC fill);
+//                   boundary exchange precondition. Split-phase: one
+//                   batched BlockExchangePlan2D round is begun, every
+//                   block's ghost-independent core is swept while halos are
+//                   in flight, and the rims are swept after end_exchange_all
+//                   (+ BC fill);
 //   2. emissions  — NO/NO2/VOC sources at "city" cells (pointwise);
 //   3. chemistry  — the stiff local ODE advanced pointwise (RK4): a
 //                   pointwise grid operation with *no* communication.
@@ -38,6 +39,7 @@
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "meshspectral/meshspectral.hpp"
 #include "mpl/spmd.hpp"
@@ -77,10 +79,21 @@ struct AirshedConfig {
   bool periodic = false;  ///< fully periodic domain (conservation tests)
 };
 
+/// Airshed model on a block-decomposed domain: each rank advances all the
+/// blocks it owns; transport runs one batched boundary round per step over
+/// the whole block set; emissions and chemistry stay pointwise per block.
+/// Every cell update uses the same arithmetic under any decomposition, so
+/// all of them reproduce the np=1 fields bitwise.
 class AirshedSim {
  public:
+  /// One block per rank of `pgrid` (block (bx, by) on pgrid.rank_of(bx, by)).
   AirshedSim(mpl::Process& p, const mpl::CartGrid2D& pgrid,
              const AirshedConfig& cfg);
+  /// Any block layout of the config's domain and any block→rank map. The
+  /// layout must have cfg's extents, ghost width >= 1 and periodicity
+  /// {cfg.periodic, cfg.periodic}; std::invalid_argument otherwise.
+  AirshedSim(mpl::Process& p, const mesh::BlockLayout2D& layout,
+             const std::vector<int>& owner, const AirshedConfig& cfg);
 
   /// Initialize background concentrations and the emission map.
   void init_background();
@@ -106,6 +119,8 @@ class AirshedSim {
 
   [[nodiscard]] double hour() const { return hour_; }
   [[nodiscard]] const AirshedConfig& config() const { return cfg_; }
+  [[nodiscard]] const mesh::BlockSet<Chem>& state() const { return c_; }
+  [[nodiscard]] const mesh::BlockExchangePlan2D& plan() const { return plan_; }
 
   /// Advance only the chemistry operator (tests).
   void chemistry_step();
@@ -114,72 +129,10 @@ class AirshedSim {
 
  private:
   mpl::Process& p_;
-  const mpl::CartGrid2D& pgrid_;
   AirshedConfig cfg_;
   double dx_;
   double dy_;
   double hour_ = 8.0;  ///< simulated time, hours since midnight
-  mesh::Grid2D<Chem> c_;
-  mesh::Grid2D<Chem> cnew_;
-  mesh::Grid2D<Chem> emissions_;
-  mesh::ExchangePlan2D plan_;  ///< persistent halo plan for c_/cnew_
-};
-
-/// Block-set decomposition knobs for the multi-block airshed. Defaults
-/// (nbx = nby = 0, empty owner map) give one block per rank on the
-/// near_square process grid — bitwise-identical to AirshedSim.
-struct AirshedBlockConfig {
-  int nbx = 0;  ///< blocks along x (0 = match the process grid)
-  int nby = 0;  ///< blocks along y (0 = match the process grid)
-  /// block→rank map (size nbx*nby); empty = contiguous distribution.
-  std::vector<int> owner;
-  /// One coalesced message per peer rank vs one per block pair (ablation).
-  bool batched = true;
-};
-
-/// Build the block layout for a config: global extents from `cfg`, ghost 1,
-/// periodicity per `cfg.periodic`; block counts from `config` (0 = match
-/// the near_square grid of `nprocs`).
-[[nodiscard]] mesh::BlockLayout2D make_airshed_block_layout(
-    const AirshedConfig& cfg, int nprocs, const AirshedBlockConfig& config = {});
-
-/// Airshed model on a multi-block domain: each rank advances all blocks it
-/// owns; transport runs one batched boundary round per step over the whole
-/// block set; emissions and chemistry stay pointwise per block. Shares the
-/// per-cell transport/chemistry arithmetic with AirshedSim, so any block
-/// decomposition reproduces its fields bitwise.
-class AirshedBlockSim {
- public:
-  AirshedBlockSim(mpl::Process& p, const mesh::BlockLayout2D& layout,
-                  const std::vector<int>& owner, const AirshedConfig& cfg,
-                  bool batched = true);
-
-  void init_background();
-  void set_field(const std::function<Chem(std::size_t, std::size_t)>& fn);
-  void disable_emissions();
-
-  void step();
-  void run(int steps);
-
-  [[nodiscard]] double total(int species);
-  [[nodiscard]] double total_nitrogen();
-  [[nodiscard]] Array2D<double> gather_species(int species, int root = 0);
-
-  void chemistry_step();
-  void transport_step();
-
-  [[nodiscard]] double hour() const { return hour_; }
-  [[nodiscard]] const mesh::BlockSet<Chem>& state() const { return c_; }
-  [[nodiscard]] const mesh::BlockExchangePlan2D& plan() const { return plan_; }
-
- private:
-  double photolysis_rate(double hour) const;
-
-  mpl::Process& p_;
-  AirshedConfig cfg_;
-  double dx_;
-  double dy_;
-  double hour_ = 8.0;
   mesh::BlockSet<Chem> c_;
   mesh::BlockSet<Chem> cnew_;
   mesh::BlockSet<Chem> emissions_;  ///< ghost-free source map per block

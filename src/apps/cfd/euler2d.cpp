@@ -64,8 +64,7 @@ EulerState rusanov_y(const EulerState& l, const EulerState& r, double gamma) {
 }
 
 /// Flux-differenced update of one cell: reads the 5-point neighborhood of
-/// `u`, writes `unew`. Shared by the single-grid and block solvers — the
-/// bitwise parity between them rests on this being the same arithmetic.
+/// `u`, writes `unew` (the legacy per-point sweep).
 void flux_update_cell(const mesh::Grid2D<EulerState>& u,
                       mesh::Grid2D<EulerState>& unew, double gamma,
                       std::ptrdiff_t i, std::ptrdiff_t j, double cx,
@@ -130,6 +129,11 @@ double local_max_wave_speed(const mesh::Grid2D<EulerState>& u, double gamma,
   return local;
 }
 
+/// The scenario's domain topology: x periodic per the config, y always.
+mesh::Periodicity periodicity(const CfdConfig& cfg) {
+  return mesh::Periodicity{cfg.periodic_x, true};
+}
+
 }  // namespace
 
 EulerState to_conserved(const EulerPrim& w, double gamma) {
@@ -153,21 +157,25 @@ EulerPrim post_shock_state(double mach, double rho0, double p0, double gamma) {
 }
 
 CfdSim::CfdSim(mpl::Process& p, const mpl::CartGrid2D& pgrid, const CfdConfig& cfg)
+    : CfdSim(p, mesh::block_layout(pgrid, cfg.nx, cfg.ny, periodicity(cfg)),
+             mesh::block_owners(pgrid), cfg) {}
+
+CfdSim::CfdSim(mpl::Process& p, const mesh::BlockLayout2D& layout,
+               const std::vector<int>& owner, const CfdConfig& cfg)
     : p_(p),
-      pgrid_(pgrid),
       cfg_(cfg),
       dx_(cfg.lx / static_cast<double>(cfg.nx)),
       dy_(cfg.ly / static_cast<double>(cfg.ny)),
-      u_(cfg.nx, cfg.ny, pgrid, p.rank(), 1),
-      unew_(cfg.nx, cfg.ny, pgrid, p.rank(), 1),
+      u_(mesh::require_domain(layout, cfg.nx, cfg.ny, periodicity(cfg),
+                              "CfdSim"),
+         owner, p.rank()),
+      unew_(layout, owner, p.rank()),
       inflow_(to_conserved(post_shock_state(cfg.mach, cfg.rho_light, cfg.p0,
                                             cfg.gamma),
                            cfg.gamma)),
       // The Rusanov stencil is 5-point (no corner-ghost reads), so the
-      // plan skips the diagonal messages.
-      plan_(pgrid, p.rank(), u_,
-            mesh::ExchangePlan2D::Options{
-                mesh::Periodicity{cfg.periodic_x, true}, false, 0}) {}
+      // plan skips the diagonal strips.
+      plan_(u_) {}
 
 void CfdSim::set_state(
     const std::function<EulerState(std::size_t, std::size_t)>& fn) {
@@ -191,62 +199,74 @@ void CfdSim::init_shock_interface() {
 
 void CfdSim::apply_physical_bcs() {
   if (cfg_.periodic_x) return;
-  const auto ny = static_cast<std::ptrdiff_t>(u_.ny());
-  // Inflow (fixed post-shock state) at the global x=0 face.
-  if (u_.x_range().lo == 0) {
-    for (std::ptrdiff_t j = -1; j <= ny; ++j) u_(-1, j) = inflow_;
+  // Fills on each block touching a global x face: the rim sweep reads only
+  // (-1, j) / (nx, j) with j in [0, ny), all covered here.
+  for (auto& b : u_) {
+    auto& g = b.grid();
+    const auto ny = static_cast<std::ptrdiff_t>(g.ny());
+    // Inflow (fixed post-shock state) at the global x=0 face.
+    if (b.x_range().lo == 0) {
+      for (std::ptrdiff_t j = -1; j <= ny; ++j) g(-1, j) = inflow_;
+    }
+    // Outflow (zero gradient) at the global x=lx face.
+    if (b.x_range().hi == cfg_.nx) {
+      const auto last = static_cast<std::ptrdiff_t>(g.nx()) - 1;
+      for (std::ptrdiff_t j = -1; j <= ny; ++j) g(last + 1, j) = g(last, j);
+    }
   }
-  // Outflow (zero gradient) at the global x=lx face.
-  if (u_.x_range().hi == cfg_.nx) {
-    const auto last = static_cast<std::ptrdiff_t>(u_.nx()) - 1;
-    for (std::ptrdiff_t j = -1; j <= ny; ++j) u_(last + 1, j) = u_(last, j);
-  }
-}
-
-void CfdSim::flux_update(std::ptrdiff_t i, std::ptrdiff_t j, double cx,
-                         double cy) {
-  flux_update_cell(u_, unew_, cfg_.gamma, i, j, cx, cy);
 }
 
 double CfdSim::step() {
   // 1. Begin the shadow-copy refresh (y is always periodic in this code);
   // the halo messages stay in flight through steps 2 and 3a.
-  plan_.begin_exchange(p_, u_);
+  plan_.begin_exchange_all(p_, u_);
 
   // 2. Reduction: global max wave speed -> dt (replicated global). Reads
   // only interior cells, so it overlaps the exchange — including the
   // allreduce's own communication.
-  const double local_smax = local_max_wave_speed(u_, cfg_.gamma, 1e-12);
+  double local_smax = 1e-12;
+  for (const auto& b : u_) {
+    local_smax = local_max_wave_speed(b.grid(), cfg_.gamma, local_smax);
+  }
   const double smax = p_.allreduce(local_smax, mpl::MaxOp{});
   const double dt = cfg_.cfl * std::min(dx_, dy_) / smax;
 
   // 3. Grid operation: flux-differenced update (reads neighbors of u_,
   // writes unew_ — disjoint input/output per the archetype's restriction).
-  // 3a: the ghost-independent core, overlapped with the exchange;
-  // 3b: complete the exchange, fill physical BCs, then sweep the rim.
+  // 3a: every block's ghost-independent core, overlapped with the exchange;
+  // 3b: complete the exchange, fill physical BCs, then sweep the rims.
   const double cx = dt / dx_;
   const double cy = dt / dy_;
-  const mesh::Region2 all = mesh::interior_region(u_);
-  const mesh::Region2 core = mesh::core_region(u_, 1, all);
-  if (cfg_.sweep == mesh::SweepMode::kKernel) {
-    const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                          std::ptrdiff_t j1) {
-      flux_update_row(u_, unew_, cfg_.gamma, i, j0, j1, cx, cy);
-    };
-    mesh::kern::sweep_rows(core, rows);
-    plan_.end_exchange(p_, u_);
-    apply_physical_bcs();
-    mesh::kern::sweep_rim_rows(all, core, rows);
-  } else {
-    mesh::for_region(core, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      flux_update(i, j, cx, cy);
-    });
-    plan_.end_exchange(p_, u_);
-    apply_physical_bcs();
-    mesh::for_rim(all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      flux_update(i, j, cx, cy);
-    });
-  }
+  const auto sweep = [&](std::size_t b, bool rim) {
+    const auto& ug = u_.block(b).grid();
+    auto& ng = unew_.block(b).grid();
+    const mesh::Region2 all = mesh::interior_region(ug);
+    const mesh::Region2 core = mesh::core_region(ug, 1, all);
+    if (cfg_.sweep == mesh::SweepMode::kKernel) {
+      const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
+                            std::ptrdiff_t j1) {
+        flux_update_row(ug, ng, cfg_.gamma, i, j0, j1, cx, cy);
+      };
+      if (rim) {
+        mesh::kern::sweep_rim_rows(all, core, rows);
+      } else {
+        mesh::kern::sweep_rows(core, rows);
+      }
+    } else {
+      const auto cell = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+        flux_update_cell(ug, ng, cfg_.gamma, i, j, cx, cy);
+      };
+      if (rim) {
+        mesh::for_rim(all, core, cell);
+      } else {
+        mesh::for_region(core, cell);
+      }
+    }
+  };
+  for (std::size_t b = 0; b < u_.size(); ++b) sweep(b, /*rim=*/false);
+  plan_.end_exchange_all(p_, u_);
+  apply_physical_bcs();
+  for (std::size_t b = 0; b < u_.size(); ++b) sweep(b, /*rim=*/true);
 
   // 4. Swap current and next states.
   std::swap(u_, unew_);
@@ -259,31 +279,22 @@ double CfdSim::run(int n) {
   return t;
 }
 
-double CfdSim::total_mass() {
+double CfdSim::integral(double EulerState::*component) {
   const double local = mesh::local_reduce(
-      u_, 0.0, [](double acc, const EulerState& s) { return acc + s.rho; });
+      u_, 0.0,
+      [component](double acc, const EulerState& s) { return acc + s.*component; });
   return p_.allreduce(local, mpl::SumOp{}) * dx_ * dy_;
 }
 
-double CfdSim::total_energy() {
-  const double local = mesh::local_reduce(
-      u_, 0.0, [](double acc, const EulerState& s) { return acc + s.E; });
-  return p_.allreduce(local, mpl::SumOp{}) * dx_ * dy_;
-}
-
-double CfdSim::total_momentum_x() {
-  const double local = mesh::local_reduce(
-      u_, 0.0, [](double acc, const EulerState& s) { return acc + s.mx; });
-  return p_.allreduce(local, mpl::SumOp{}) * dx_ * dy_;
-}
+double CfdSim::total_mass() { return integral(&EulerState::rho); }
+double CfdSim::total_energy() { return integral(&EulerState::E); }
+double CfdSim::total_momentum_x() { return integral(&EulerState::mx); }
 
 double CfdSim::max_wave_speed() {
   double local = 0.0;
-  mesh::for_interior(u_, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    const EulerState& s = u_(i, j);
-    const double c = sound_speed(s, cfg_.gamma);
-    local = std::max({local, std::abs(s.mx / s.rho) + c, std::abs(s.my / s.rho) + c});
-  });
+  for (const auto& b : u_) {
+    local = local_max_wave_speed(b.grid(), cfg_.gamma, local);
+  }
   return p_.allreduce(local, mpl::MaxOp{});
 }
 
@@ -294,30 +305,23 @@ double CfdSim::min_density() {
 }
 
 double CfdSim::min_pressure() {
-  double local = 1e300;
-  mesh::for_interior(u_, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    local = std::min(local, pressure(u_(i, j), cfg_.gamma));
-  });
+  const double local = mesh::local_reduce(
+      u_, 1e300, [&](double acc, const EulerState& s) {
+        return std::min(acc, pressure(s, cfg_.gamma));
+      });
   return p_.allreduce(local, mpl::MinOp{});
 }
 
 Array2D<double> CfdSim::gather_density(int root) {
-  mesh::Grid2D<double> rho(cfg_.nx, cfg_.ny, pgrid_, p_.rank(), 0);
-  mesh::for_interior(rho, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    rho(i, j) = u_(i, j).rho;
-  });
-  return mesh::gather_grid(p_, pgrid_, rho, root);
+  return mesh::gather_blocks(p_, u_, root,
+                             [](const EulerState& s) { return s.rho; });
 }
 
 Array2D<double> CfdSim::gather_vorticity(int root) {
-  mesh::Grid2D<double> uvel(cfg_.nx, cfg_.ny, pgrid_, p_.rank(), 0);
-  mesh::Grid2D<double> vvel(cfg_.nx, cfg_.ny, pgrid_, p_.rank(), 0);
-  mesh::for_interior(uvel, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    uvel(i, j) = u_(i, j).mx / u_(i, j).rho;
-    vvel(i, j) = u_(i, j).my / u_(i, j).rho;
-  });
-  const auto ug = mesh::gather_grid(p_, pgrid_, uvel, root);
-  const auto vg = mesh::gather_grid(p_, pgrid_, vvel, root);
+  const auto ug = mesh::gather_blocks(
+      p_, u_, root, [](const EulerState& s) { return s.mx / s.rho; });
+  const auto vg = mesh::gather_blocks(
+      p_, u_, root, [](const EulerState& s) { return s.my / s.rho; });
   if (p_.rank() != root) return {};
 
   Array2D<double> omega(cfg_.nx, cfg_.ny, 0.0);
@@ -331,185 +335,14 @@ Array2D<double> CfdSim::gather_vorticity(int root) {
   return omega;
 }
 
-// ----------------------------------------------------------- block sets --
-
-mesh::BlockLayout2D make_cfd_block_layout(const CfdConfig& cfg, int nprocs,
-                                          const CfdBlockConfig& config) {
-  mesh::BlockLayout2D layout;
-  layout.global_nx = cfg.nx;
-  layout.global_ny = cfg.ny;
-  if (config.nbx > 0 && config.nby > 0) {
-    layout.nbx = config.nbx;
-    layout.nby = config.nby;
-  } else {
-    const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-    layout.nbx = pgrid.npx();
-    layout.nby = pgrid.npy();
-  }
-  layout.ghost = 1;
-  layout.periodic = mesh::Periodicity{cfg.periodic_x, true};
-  return layout;
-}
-
-CfdBlockSim::CfdBlockSim(mpl::Process& p, const mesh::BlockLayout2D& layout,
-                         const std::vector<int>& owner, const CfdConfig& cfg,
-                         bool batched)
-    : p_(p),
-      cfg_(cfg),
-      dx_(cfg.lx / static_cast<double>(cfg.nx)),
-      dy_(cfg.ly / static_cast<double>(cfg.ny)),
-      u_(layout, owner, p.rank()),
-      unew_(layout, owner, p.rank()),
-      inflow_(to_conserved(post_shock_state(cfg.mach, cfg.rho_light, cfg.p0,
-                                            cfg.gamma),
-                           cfg.gamma)),
-      plan_(u_, mesh::BlockExchangeOptions{false, 0, batched, false, 0.0}) {}
-
-void CfdBlockSim::set_state(
-    const std::function<EulerState(std::size_t, std::size_t)>& fn) {
-  u_.init_from_global(fn);
-}
-
-void CfdBlockSim::init_shock_interface() {
-  const CfdConfig& c = cfg_;
-  const EulerState post = inflow_;
-  u_.init_from_global([&](std::size_t gi, std::size_t gj) {
-    const double x = (static_cast<double>(gi) + 0.5) * dx_;
-    const double y = (static_cast<double>(gj) + 0.5) * dy_;
-    if (x < c.x_shock) return post;
-    const double interface_x =
-        c.x_interface + c.amplitude * std::sin(2.0 * std::numbers::pi *
-                                               c.interface_modes * y / c.ly);
-    const double rho = (x < interface_x) ? c.rho_light : c.rho_heavy;
-    return to_conserved({rho, 0.0, 0.0, c.p0}, c.gamma);
-  });
-}
-
-void CfdBlockSim::apply_physical_bcs() {
-  if (cfg_.periodic_x) return;
-  // Same fills as CfdSim, applied per block that touches a global x face:
-  // the union over blocks covers exactly the cells the single-grid fill
-  // covers (the rim sweep reads only (-1, j) / (nx, j) with j in [0, ny)).
-  for (auto& b : u_) {
-    auto& g = b.grid();
-    const auto ny = static_cast<std::ptrdiff_t>(g.ny());
-    if (b.x_range().lo == 0) {
-      for (std::ptrdiff_t j = -1; j <= ny; ++j) g(-1, j) = inflow_;
-    }
-    if (b.x_range().hi == cfg_.nx) {
-      const auto last = static_cast<std::ptrdiff_t>(g.nx()) - 1;
-      for (std::ptrdiff_t j = -1; j <= ny; ++j) g(last + 1, j) = g(last, j);
-    }
-  }
-}
-
-double CfdBlockSim::step() {
-  // The single-grid schedule, lifted over the block set: one batched
-  // boundary round in flight while every owned block's dt reduction and
-  // core sweep run.
-  plan_.begin_exchange_all(p_, u_);
-
-  double local_smax = 1e-12;
-  for (const auto& b : u_) {
-    local_smax = local_max_wave_speed(b.grid(), cfg_.gamma, local_smax);
-  }
-  const double smax = p_.allreduce(local_smax, mpl::MaxOp{});
-  const double dt = cfg_.cfl * std::min(dx_, dy_) / smax;
-
-  const double cx = dt / dx_;
-  const double cy = dt / dy_;
-  for (std::size_t b = 0; b < u_.size(); ++b) {
-    const auto& ug = u_.block(b).grid();
-    auto& ng = unew_.block(b).grid();
-    const mesh::Region2 all = mesh::interior_region(ug);
-    const mesh::Region2 core = mesh::core_region(ug, 1, all);
-    if (cfg_.sweep == mesh::SweepMode::kKernel) {
-      mesh::kern::sweep_rows(core, [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                                       std::ptrdiff_t j1) {
-        flux_update_row(ug, ng, cfg_.gamma, i, j0, j1, cx, cy);
-      });
-    } else {
-      mesh::for_region(core, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-        flux_update_cell(ug, ng, cfg_.gamma, i, j, cx, cy);
-      });
-    }
-  }
-  plan_.end_exchange_all(p_, u_);
-  apply_physical_bcs();
-  for (std::size_t b = 0; b < u_.size(); ++b) {
-    const auto& ug = u_.block(b).grid();
-    auto& ng = unew_.block(b).grid();
-    const mesh::Region2 all = mesh::interior_region(ug);
-    const mesh::Region2 core = mesh::core_region(ug, 1, all);
-    if (cfg_.sweep == mesh::SweepMode::kKernel) {
-      mesh::kern::sweep_rim_rows(all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                                                std::ptrdiff_t j1) {
-        flux_update_row(ug, ng, cfg_.gamma, i, j0, j1, cx, cy);
-      });
-    } else {
-      mesh::for_rim(all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-        flux_update_cell(ug, ng, cfg_.gamma, i, j, cx, cy);
-      });
-    }
-  }
-
-  std::swap(u_, unew_);
-  return dt;
-}
-
-double CfdBlockSim::run(int n) {
-  double t = 0.0;
-  for (int s = 0; s < n; ++s) t += step();
-  return t;
-}
-
-double CfdBlockSim::total_mass() {
-  double local = 0.0;
-  for (const auto& b : u_) {
-    local = mesh::local_reduce(
-        b.grid(), local, [](double acc, const EulerState& s) { return acc + s.rho; });
-  }
-  return p_.allreduce(local, mpl::SumOp{}) * dx_ * dy_;
-}
-
-Array2D<double> CfdBlockSim::gather_density(int root) {
-  mesh::BlockLayout2D rho_layout = u_.layout();
-  rho_layout.ghost = 0;
-  mesh::BlockSet<double> rho(rho_layout, u_.owner_map(), p_.rank());
-  for (std::size_t b = 0; b < u_.size(); ++b) {
-    const auto& ug = u_.block(b).grid();
-    auto& rg = rho.block(b).grid();
-    mesh::for_interior(rg, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      rg(i, j) = ug(i, j).rho;
-    });
-  }
-  return mesh::gather_blocks(p_, rho, root);
-}
-
-Array2D<double> run_shock_interface_blocks(const CfdConfig& cfg, int steps,
-                                           int nprocs,
-                                           const CfdBlockConfig& config) {
-  const auto layout = make_cfd_block_layout(cfg, nprocs, config);
-  const auto owner =
-      config.owner.empty()
-          ? mesh::distribute_blocks_contiguous(layout.nblocks(), nprocs)
-          : config.owner;
+Array2D<double> run_shock_interface(const CfdConfig& cfg, int steps, int nprocs,
+                                    const mesh::BlockConfig& config) {
+  const auto layout =
+      mesh::block_layout(config, nprocs, cfg.nx, cfg.ny, periodicity(cfg));
+  const auto owner = mesh::block_owners(config, nprocs);
   Array2D<double> density;
   mpl::spmd_run(nprocs, [&](mpl::Process& p) {
-    CfdBlockSim sim(p, layout, owner, cfg, config.batched);
-    sim.init_shock_interface();
-    sim.run(steps);
-    auto rho = sim.gather_density(0);
-    if (p.rank() == 0) density = std::move(rho);
-  });
-  return density;
-}
-
-Array2D<double> run_shock_interface(const CfdConfig& cfg, int steps, int nprocs) {
-  const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-  Array2D<double> density;
-  mpl::spmd_run(nprocs, [&](mpl::Process& p) {
-    CfdSim sim(p, pgrid, cfg);
+    CfdSim sim(p, layout, owner, cfg);
     sim.init_shock_interface();
     sim.run(steps);
     auto rho = sim.gather_density(0);

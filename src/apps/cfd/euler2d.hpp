@@ -10,8 +10,9 @@
 // Numerics: finite volume with Rusanov (local Lax-Friedrichs) fluxes,
 // dimension-by-dimension, CFL-limited explicit Euler stepping.
 //
-// Archetype structure per step (the mesh pattern, split-phase since PR 2):
-//   1. begin the halo exchange (persistent ExchangePlan2D, packed once),
+// Archetype structure per step (the mesh pattern, split-phase):
+//   1. begin the halo exchange (one batched BlockExchangePlan2D round over
+//      the rank's block set),
 //   2. reduction: global max wave speed -> dt (a replicated global) — the
 //      allreduce runs while the halo messages are in flight,
 //   3. grid operation: flux differencing of the ghost-independent core,
@@ -27,6 +28,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "meshspectral/meshspectral.hpp"
 #include "mpl/spmd.hpp"
@@ -88,10 +90,20 @@ struct CfdConfig {
 [[nodiscard]] EulerPrim post_shock_state(double mach, double rho0, double p0,
                                          double gamma);
 
-/// Per-process simulation of the distributed Euler solve.
+/// Per-process simulation of the distributed Euler solve on a
+/// block-decomposed domain: each rank advances all the blocks it owns, and
+/// every step runs one batched boundary round over the whole block set
+/// (BlockExchangePlan2D). Every cell update uses the same arithmetic under
+/// any decomposition, so all of them reproduce the np=1 fields bitwise.
 class CfdSim {
  public:
+  /// One block per rank of `pgrid` (block (bx, by) on pgrid.rank_of(bx, by)).
   CfdSim(mpl::Process& p, const mpl::CartGrid2D& pgrid, const CfdConfig& cfg);
+  /// Any block layout of the config's domain and any block→rank map. The
+  /// layout must have cfg's extents, ghost width >= 1 and periodicity
+  /// {cfg.periodic_x, true}; std::invalid_argument otherwise.
+  CfdSim(mpl::Process& p, const mesh::BlockLayout2D& layout,
+         const std::vector<int>& owner, const CfdConfig& cfg);
 
   /// Replace the state with fn(global_i, global_j) (for tests/custom ICs).
   void set_state(const std::function<EulerState(std::size_t, std::size_t)>& fn);
@@ -118,69 +130,16 @@ class CfdSim {
   /// velocity fields (computed at root).
   [[nodiscard]] Array2D<double> gather_vorticity(int root = 0);
 
-  [[nodiscard]] const mesh::Grid2D<EulerState>& state() const { return u_; }
+  [[nodiscard]] const mesh::BlockSet<EulerState>& state() const { return u_; }
+  [[nodiscard]] const mesh::BlockExchangePlan2D& plan() const { return plan_; }
   [[nodiscard]] const CfdConfig& config() const { return cfg_; }
   [[nodiscard]] double dx() const { return dx_; }
   [[nodiscard]] double dy() const { return dy_; }
 
  private:
   void apply_physical_bcs();
-  void flux_update(std::ptrdiff_t i, std::ptrdiff_t j, double cx, double cy);
-
-  mpl::Process& p_;
-  const mpl::CartGrid2D& pgrid_;
-  CfdConfig cfg_;
-  double dx_;
-  double dy_;
-  mesh::Grid2D<EulerState> u_;
-  mesh::Grid2D<EulerState> unew_;
-  EulerState inflow_;
-  mesh::ExchangePlan2D plan_;  ///< persistent halo plan for u_/unew_
-};
-
-/// Block-set decomposition knobs for the multi-block solver. Defaults
-/// (nbx = nby = 0, empty owner map) give one block per rank on the
-/// near_square process grid — the N = 1 configuration bitwise-identical to
-/// CfdSim.
-struct CfdBlockConfig {
-  int nbx = 0;  ///< blocks along x (0 = match the process grid)
-  int nby = 0;  ///< blocks along y (0 = match the process grid)
-  /// block→rank map (size nbx*nby); empty = contiguous distribution.
-  std::vector<int> owner;
-  /// One coalesced message per peer rank vs one per block pair (ablation).
-  bool batched = true;
-};
-
-/// Per-process Euler solve on a multi-block domain: each rank advances all
-/// the blocks it owns, and every step runs one batched boundary round over
-/// the whole block set (BlockExchangePlan2D). The per-cell flux arithmetic
-/// is shared with CfdSim, so any block decomposition of the same global
-/// domain reproduces CfdSim's fields bitwise.
-class CfdBlockSim {
- public:
-  CfdBlockSim(mpl::Process& p, const mesh::BlockLayout2D& layout,
-              const std::vector<int>& owner, const CfdConfig& cfg,
-              bool batched = true);
-
-  /// Replace the state with fn(global_i, global_j) (for tests/custom ICs).
-  void set_state(const std::function<EulerState(std::size_t, std::size_t)>& fn);
-  /// Initialize the paper's shock/interface scenario.
-  void init_shock_interface();
-
-  /// Advance one time step; returns the dt taken (identical on all ranks).
-  double step();
-  /// Advance `n` steps; returns the simulated time advanced.
-  double run(int n);
-
-  [[nodiscard]] double total_mass();
-  /// Gathered dense density field on root (empty elsewhere).
-  [[nodiscard]] Array2D<double> gather_density(int root = 0);
-
-  [[nodiscard]] const mesh::BlockSet<EulerState>& state() const { return u_; }
-  [[nodiscard]] const mesh::BlockExchangePlan2D& plan() const { return plan_; }
-
- private:
-  void apply_physical_bcs();
+  /// Sum of one conserved component over the domain, times the cell area.
+  double integral(double EulerState::*component);
 
   mpl::Process& p_;
   CfdConfig cfg_;
@@ -192,22 +151,12 @@ class CfdBlockSim {
   mesh::BlockExchangePlan2D plan_;  ///< one batched round per step
 };
 
-/// Build the block layout for a config: global extents from `cfg`, ghost 1,
-/// x periodicity per `cfg.periodic_x`, y always periodic; block counts from
-/// `config` (0 = match the near_square grid of `nprocs`).
-[[nodiscard]] mesh::BlockLayout2D make_cfd_block_layout(
-    const CfdConfig& cfg, int nprocs, const CfdBlockConfig& config = {});
-
 /// Convenience driver: run the shock-interface scenario for `steps` steps on
 /// `nprocs` SPMD processes and return the final gathered density field.
-[[nodiscard]] Array2D<double> run_shock_interface(const CfdConfig& cfg, int steps,
-                                                  int nprocs);
-
-/// Multi-block convenience driver: same scenario on a block-decomposed
-/// domain (any distribution), returning the final gathered density field.
-[[nodiscard]] Array2D<double> run_shock_interface_blocks(
+/// `config` picks the block decomposition (default: one block per rank).
+[[nodiscard]] Array2D<double> run_shock_interface(
     const CfdConfig& cfg, int steps, int nprocs,
-    const CfdBlockConfig& config = {});
+    const mesh::BlockConfig& config = {});
 
 /// Same scenario as one warm job on a persistent engine (`nprocs` defaults
 /// to the engine width); back-to-back runs reuse the engine's rank threads.

@@ -13,6 +13,18 @@ double spacing(const PoissonProblem& prob) {
   return 1.0 / static_cast<double>(std::max(prob.nx, prob.ny) - 1);
 }
 
+/// Running max of |a - b| over region r, in row order. Kept out of line:
+/// inlined into the iteration loop, GCC 12 holds the running max in a stack
+/// slot, and the whole solve ran ~1.35x slower.
+[[gnu::noinline]] double absdiff_max(mesh::FieldView2D<const double> a,
+                                     mesh::FieldView2D<const double> b,
+                                     mesh::Region2 r, double running) {
+  for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
+    running = mesh::kern::absdiff_max_row(a.row(i), b.row(i), r.j0, r.j1, running);
+  }
+  return running;
+}
+
 }  // namespace
 
 PoissonResult poisson_v1(const PoissonProblem& prob) {
@@ -64,131 +76,9 @@ PoissonResult poisson_v1(const PoissonProblem& prob) {
   return result;
 }
 
-PoissonResult poisson_process(mpl::Process& p, const mpl::CartGrid2D& pgrid,
+PoissonResult poisson_process(mpl::Process& p, const mesh::BlockLayout2D& layout,
+                              const std::vector<int>& owner,
                               const PoissonProblem& prob) {
-  const std::size_t nx = prob.nx;
-  const std::size_t ny = prob.ny;
-  const double h = spacing(prob);
-
-  mesh::Grid2D<double> uk(nx, ny, pgrid, p.rank(), 1);
-  mesh::Grid2D<double> ukp(nx, ny, pgrid, p.rank(), 1);
-  mesh::Grid2D<double> fv(nx, ny, pgrid, p.rank(), 1);
-
-  // initialize_section: boundary to g, interior to the initial guess.
-  fv.init_from_global([&](std::size_t gi, std::size_t gj) {
-    return prob.f(static_cast<double>(gi) * h, static_cast<double>(gj) * h);
-  });
-  uk.init_from_global([&](std::size_t gi, std::size_t gj) {
-    const bool boundary = (gi == 0 || gi == nx - 1 || gj == 0 || gj == ny - 1);
-    return boundary
-               ? prob.g(static_cast<double>(gi) * h, static_cast<double>(gj) * h)
-               : 0.0;
-  });
-  ukp.copy_interior_from(uk);
-
-  // Intersection of the whole grid's interior with the local section
-  // (xintersect/yintersect in Fig 14): local index bounds of points this
-  // process actually updates.
-  const auto ilo = static_cast<std::ptrdiff_t>(uk.x_range().lo == 0 ? 1 : 0);
-  const auto jlo = static_cast<std::ptrdiff_t>(uk.y_range().lo == 0 ? 1 : 0);
-  const auto ihi = static_cast<std::ptrdiff_t>(uk.nx()) -
-                   (uk.x_range().hi == nx ? 1 : 0);
-  const auto jhi = static_cast<std::ptrdiff_t>(uk.ny()) -
-                   (uk.y_range().hi == ny ? 1 : 0);
-
-  // The replicated global variable controlling the loop (Fig 14's diffmax):
-  // copy consistency holds because it is only assigned values that are
-  // identical on every process (the initializer and the allreduce result).
-  mesh::Global<double> diffmax(prob.tolerance + 1.0);
-
-  // Halo-exchange plan, compiled once and re-entered every iteration; the
-  // 5-point stencil update region splits into the ghost-independent core
-  // (swept while the halos are in flight) and the rim (swept after). The
-  // stencil reads no corner ghosts, so the diagonal messages are disabled.
-  mesh::ExchangePlan2D plan(pgrid, p.rank(), uk,
-                            mesh::ExchangePlan2D::Options{{}, false, 0});
-  const mesh::Region2 update{ilo, ihi, jlo, jhi};
-  const mesh::Region2 core = mesh::core_region(uk, 1, update);
-
-  const auto jacobi_point = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    ukp(i, j) = (uk(i - 1, j) + uk(i + 1, j) + uk(i, j - 1) + uk(i, j + 1) -
-                 h * h * fv(i, j)) *
-                0.25;
-  };
-
-  // Kernel path: raw row-pointer views over the same storage; identical
-  // per-element expression (h2 == h*h bitwise), column-tiled core sweep.
-  auto ukpv = mesh::field_view(ukp);
-  const auto ukv = mesh::field_view(std::as_const(uk));
-  const auto fvv = mesh::field_view(std::as_const(fv));
-  const double h2 = h * h;
-  const auto jacobi_rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                               std::ptrdiff_t j1) {
-    mesh::kern::jacobi_row(ukpv.row(i), ukv.row(i - 1), ukv.row(i),
-                           ukv.row(i + 1), fvv.row(i), h2, j0, j1);
-  };
-
-  PoissonResult result;
-  while (diffmax.get() > prob.tolerance && result.iterations < prob.max_iters) {
-    // Precondition of the stencil grid operation: fresh shadow copies —
-    // begun here, completed only once the core sweep no longer hides them.
-    plan.begin_exchange(p, uk);
-
-    // Grid operation over the local section of the interior: core while the
-    // exchange is in flight, rim after it completes. Per-point arithmetic
-    // is identical to the blocking schedule (bitwise-equal iterates).
-    if (prob.sweep == mesh::SweepMode::kKernel) {
-      mesh::kern::sweep_rows_tiled(
-          core, mesh::kern::auto_tile_j(5 * sizeof(double), core.j1 - core.j0),
-          jacobi_rows);
-      plan.end_exchange(p, uk);
-      mesh::kern::sweep_rim_rows(update, core, jacobi_rows);
-    } else {
-      mesh::for_region(core, jacobi_point);
-      plan.end_exchange(p, uk);
-      mesh::for_rim(update, core, jacobi_point);
-    }
-
-    // Reduction: local max then allreduce; postcondition re-establishes the
-    // copy consistency of diffmax on every process.
-    double local_diffmax = 0.0;
-    if (prob.sweep == mesh::SweepMode::kKernel) {
-      for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
-        local_diffmax = mesh::kern::absdiff_max_row(ukpv.row(i), ukv.row(i),
-                                                    jlo, jhi, local_diffmax);
-      }
-    } else {
-      for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
-        for (std::ptrdiff_t j = jlo; j < jhi; ++j) {
-          local_diffmax = std::max(local_diffmax, std::abs(ukp(i, j) - uk(i, j)));
-        }
-      }
-    }
-    diffmax.store_replicated(p, p.allreduce(local_diffmax, mpl::MaxOp{}));
-
-    if (prob.sweep == mesh::SweepMode::kKernel) {
-      auto ukw = mesh::field_view(uk);
-      for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
-        mesh::kern::copy_row(ukw.row(i), ukpv.row(i), jlo, jhi);
-      }
-    } else {
-      for (std::ptrdiff_t i = ilo; i < ihi; ++i) {
-        for (std::ptrdiff_t j = jlo; j < jhi; ++j) uk(i, j) = ukp(i, j);
-      }
-    }
-    ++result.iterations;
-  }
-
-  // print_section: gather-to-root file-output pattern.
-  result.u = mesh::gather_grid(p, pgrid, uk, 0);
-  result.final_diffmax = diffmax.get();
-  return result;
-}
-
-PoissonResult poisson_blocks_process(mpl::Process& p,
-                                     const mesh::BlockLayout2D& layout,
-                                     const std::vector<int>& owner,
-                                     const PoissonProblem& prob, bool batched) {
   const std::size_t nx = prob.nx;
   const std::size_t ny = prob.ny;
   const double h = spacing(prob);
@@ -211,7 +101,9 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
   }
 
   // Per-block update/core regions: each block clips the global interior to
-  // its own window exactly as poisson_process does for its rank section.
+  // its own window (xintersect/yintersect in Fig 14) — the points it
+  // actually updates — and splits that into the ghost-independent core and
+  // the rim.
   std::vector<mesh::Region2> update(uk.size()), core(uk.size());
   for (std::size_t b = 0; b < uk.size(); ++b) {
     const auto& blk = uk.block(b);
@@ -225,17 +117,18 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
     core[b] = mesh::core_region(blk.grid(), 1, update[b]);
   }
 
+  // The replicated global variable controlling the loop (Fig 14's diffmax):
+  // copy consistency holds because it is only assigned values that are
+  // identical on every process (the initializer and the allreduce result).
   mesh::Global<double> diffmax(prob.tolerance + 1.0);
 
   // One plan for the whole block set: all off-rank halos travel in one
   // batched message per peer rank per iteration; on-rank block pairs are
   // local copies. The 5-point stencil reads no corner ghosts.
-  mesh::BlockExchangePlan2D plan(
-      uk, mesh::BlockExchangeOptions{false, 0, batched, false, 0.0});
+  mesh::BlockExchangePlan2D plan(uk);
 
   const double h2 = h * h;
-  // Per-block row-kernel sweep over a region (same kernels as the
-  // single-grid path, so block-set drivers pick up the win automatically).
+  // Per-block row-kernel sweep: the tiled core, or the rim around it.
   const auto jacobi_block_rows = [&](std::size_t b, mesh::Region2 r,
                                      bool tiled) {
     auto ukpv = mesh::field_view(ukp.block(b).grid());
@@ -293,12 +186,9 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
       auto& ukpg = ukp.block(b).grid();
       const auto& u = update[b];
       if (prob.sweep == mesh::SweepMode::kKernel) {
-        const auto ukv = mesh::field_view(std::as_const(ukg));
-        const auto ukpv = mesh::field_view(std::as_const(ukpg));
-        for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-          local_diffmax = mesh::kern::absdiff_max_row(ukpv.row(i), ukv.row(i),
-                                                      u.j0, u.j1, local_diffmax);
-        }
+        local_diffmax = absdiff_max(mesh::field_view(std::as_const(ukpg)),
+                                    mesh::field_view(std::as_const(ukg)), u,
+                                    local_diffmax);
         continue;
       }
       for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
@@ -334,45 +224,19 @@ PoissonResult poisson_blocks_process(mpl::Process& p,
   return result;
 }
 
-mesh::BlockLayout2D make_poisson_block_layout(const PoissonProblem& prob,
-                                              int nprocs,
-                                              const PoissonBlockConfig& config) {
-  mesh::BlockLayout2D layout;
-  layout.global_nx = prob.nx;
-  layout.global_ny = prob.ny;
-  if (config.nbx > 0 && config.nby > 0) {
-    layout.nbx = config.nbx;
-    layout.nby = config.nby;
-  } else {
-    const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-    layout.nbx = pgrid.npx();
-    layout.nby = pgrid.npy();
-  }
-  layout.ghost = 1;
-  return layout;
+PoissonResult poisson_process(mpl::Process& p, const mpl::CartGrid2D& pgrid,
+                              const PoissonProblem& prob) {
+  return poisson_process(p, mesh::block_layout(pgrid, prob.nx, prob.ny),
+                         mesh::block_owners(pgrid), prob);
 }
 
-PoissonResult poisson_blocks_spmd(const PoissonProblem& prob, int nprocs,
-                                  const PoissonBlockConfig& config) {
-  const auto layout = make_poisson_block_layout(prob, nprocs, config);
-  const auto owner =
-      config.owner.empty()
-          ? mesh::distribute_blocks_contiguous(layout.nblocks(), nprocs)
-          : config.owner;
+PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs,
+                           const mesh::BlockConfig& config) {
+  const auto layout = mesh::block_layout(config, nprocs, prob.nx, prob.ny);
+  const auto owner = mesh::block_owners(config, nprocs);
   PoissonResult result;
   mpl::spmd_run(nprocs, [&](mpl::Process& p) {
-    auto local =
-        poisson_blocks_process(p, layout, owner, prob, config.batched);
-    if (p.rank() == 0) result = std::move(local);
-  });
-  return result;
-}
-
-PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs) {
-  const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-  PoissonResult result;
-  mpl::spmd_run(nprocs, [&](mpl::Process& p) {
-    auto local = poisson_process(p, pgrid, prob);
+    auto local = poisson_process(p, layout, owner, prob);
     if (p.rank() == 0) result = std::move(local);
   });
   return result;

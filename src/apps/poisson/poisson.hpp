@@ -15,9 +15,10 @@
 // NPX x NPY process grid; every iteration is one boundary exchange, one
 // local grid operation, and one allreduce(max) that re-establishes copy
 // consistency of the replicated global `diffmax` before it controls the
-// loop. The exchange is split-phase (a persistent ExchangePlan2D): the
-// ghost-independent core is relaxed while the halo messages are in flight,
-// the rim after end_exchange.
+// loop. The grid is a block set (one block per process by default, any
+// block→rank map on request) and the exchange is split-phase (a persistent
+// BlockExchangePlan2D): the ghost-independent core is relaxed while the halo
+// messages are in flight, the rim after end_exchange_all.
 //
 // Determinism note: each interior point's update uses identical arithmetic
 // in both versions and the convergence test combines with max (exact under
@@ -27,6 +28,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "core/compose.hpp"
 #include "meshspectral/meshspectral.hpp"
@@ -59,15 +61,29 @@ struct PoissonResult {
 /// Version 1: sequential whole-grid Jacobi iteration (paper Fig 13).
 [[nodiscard]] PoissonResult poisson_v1(const PoissonProblem& prob);
 
-/// Version 2, per-process body (paper Fig 14). Returns this process's local
-/// section (interior) plus the shared iteration count. The result field on
-/// rank 0 is the gathered global grid; other ranks return an empty grid.
+/// Version 2, per-process body (paper Fig 14) on a block-decomposed domain:
+/// each rank owns the blocks `owner` assigns it (N >= 1, oversubscription
+/// welcome) and every iteration runs ONE batched boundary round over its
+/// whole block set. Identical per-point arithmetic and a max-combined
+/// convergence test keep any decomposition bitwise-equal to poisson_v1.
+/// Returns the shared iteration count; the result field on rank 0 is the
+/// gathered global grid, other ranks return an empty grid.
+[[nodiscard]] PoissonResult poisson_process(mpl::Process& p,
+                                            const mesh::BlockLayout2D& layout,
+                                            const std::vector<int>& owner,
+                                            const PoissonProblem& prob);
+
+/// The same body with one block per rank of `pgrid` (block (bx, by) on
+/// pgrid.rank_of(bx, by)): the paper's one-section-per-process layout.
 [[nodiscard]] PoissonResult poisson_process(mpl::Process& p,
                                             const mpl::CartGrid2D& pgrid,
                                             const PoissonProblem& prob);
 
-/// Version 2, whole-problem driver on `nprocs` SPMD processes.
-[[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs);
+/// Version 2, whole-problem driver on `nprocs` SPMD processes; `config`
+/// picks the block decomposition (default: one block per rank on the
+/// near_square process grid).
+[[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs,
+                                         const mesh::BlockConfig& config = {});
 
 /// Version 2 on a persistent engine: one warm SPMD job per call (`nprocs`
 /// defaults to the engine width). A stream of solves on one engine reuses
@@ -101,41 +117,5 @@ struct PoissonResult {
         return poisson_process(p, pgrid, prob);
       });
 }
-
-/// Block-set decomposition knobs for the multi-block driver. The default
-/// (nbx = nby = 0, empty owner map) reproduces the one-grid-per-rank
-/// layout: near_square process grid, one block per rank — the N = 1
-/// configuration that is bitwise-identical (fields *and* message counts)
-/// to poisson_process.
-struct PoissonBlockConfig {
-  int nbx = 0;  ///< blocks along x (0 = match the process grid)
-  int nby = 0;  ///< blocks along y (0 = match the process grid)
-  /// block→rank map (size nbx*nby); empty = contiguous distribution.
-  std::vector<int> owner;
-  /// One coalesced message per peer rank vs one per block pair (ablation).
-  bool batched = true;
-};
-
-/// Build the block layout for a problem: global extents from `prob`, ghost
-/// 1, non-periodic; block counts from `config` (0 = match the near_square
-/// grid of `nprocs`).
-[[nodiscard]] mesh::BlockLayout2D make_poisson_block_layout(
-    const PoissonProblem& prob, int nprocs,
-    const PoissonBlockConfig& config = {});
-
-/// Version 2 on a multi-block domain: each rank owns the blocks the map
-/// assigns it (N >= 1, oversubscription welcome) and every iteration runs
-/// ONE batched boundary round over the whole block set. Identical per-point
-/// arithmetic and a max-combined convergence test keep any decomposition
-/// bitwise-equal to poisson_process on the same global grid.
-[[nodiscard]] PoissonResult poisson_blocks_process(
-    mpl::Process& p, const mesh::BlockLayout2D& layout,
-    const std::vector<int>& owner, const PoissonProblem& prob,
-    bool batched = true);
-
-/// Whole-problem multi-block driver on `nprocs` SPMD processes.
-[[nodiscard]] PoissonResult poisson_blocks_spmd(const PoissonProblem& prob,
-                                                int nprocs,
-                                                const PoissonBlockConfig& config = {});
 
 }  // namespace ppa::app

@@ -41,13 +41,21 @@
 // then unpacks, so a block woken by one neighbor still receives every
 // other neighbor's strip from the same round. Unallocated destinations
 // discard trivial strips without ever allocating. Local copies are staged
-// at begin (snapshot semantics, like ExchangePlan2D) and applied in the
-// same two-pass order at end.
+// at begin in the same record format (snapshot semantics, like
+// ExchangePlan2D) and applied in the same two-pass order at end.
+//
+// Buffers: one copy out, one copy in. begin copies each strip's row
+// segments straight from the grid into the message; end copies them from
+// the borrowed payload straight into the ghost rows. The per-round receive
+// and record tables are members, so a round allocates only its outgoing
+// messages.
 //
 // Modes: `batched = false` sends one message per entry (same records, same
 // canonical order, same single tag — correct because the mailbox is FIFO
-// per (source, tag)). That is the A/B baseline for bench/ablation_blocks
-// and reproduces the single-grid plan's message count exactly at N = 1.
+// per (source, tag)). That is the A/B baseline for bench/ablation_blocks.
+// At one block per rank the batched round sends one message per neighbor
+// rank; only a peer reached through two directions (a periodic axis two
+// blocks wide) gets one coalesced message instead of two.
 //
 // Tags: a plan uses ONE tag — kExchangeTagBase + tag_block *
 // kExchangeTagStride + 27 (offset 27 keeps it disjoint from the 0..26
@@ -143,22 +151,10 @@ class BlockExchangePlan2D {
         }
       }
     }
+    // On-rank pairs are staged in the wire format too, so end applies them
+    // through the same record path as incoming messages.
     staged_local_.clear();
-    staged_local_.reserve(local_edges_.size());
-    for (const auto& e : local_edges_) {
-      Staged s;
-      const auto& src = blocks.block(
-          static_cast<std::size_t>(blocks.local_index(e.src_id)));
-      if (src.allocated()) {
-        const auto data =
-            src.grid().pack_region(e.send.i0, e.send.i1, e.send.j0, e.send.j1);
-        assert(data.size() == e.count);
-        s.has_data = true;
-        s.bytes.resize(e.count * sizeof(T));
-        std::memcpy(s.bytes.data(), data.data(), s.bytes.size());
-      }
-      staged_local_.push_back(std::move(s));
-    }
+    for (const auto& e : local_edges_) append_record(staged_local_, blocks, e);
   }
 
   /// Block until every peer's batched message has arrived, then apply the
@@ -172,74 +168,36 @@ class BlockExchangePlan2D {
     in_flight_ = false;
 
     // Receive everything up front (safe: all sends happened at begin and
-    // never block), recording where each entry's record starts.
-    struct Incoming {
-      const BlockEdge* edge;
-      std::uint64_t status;
-      std::size_t payload;   // index into payloads
-      std::size_t data_off;  // byte offset of the T data within the payload
-    };
-    std::vector<mpl::Received<std::byte>> payloads;
-    std::vector<Incoming> records;
-    records.reserve(recv_entry_total_);
+    // never block), then index every record in the borrowed payloads.
+    payloads_.clear();
+    records_.clear();
+    for (const auto& pl : recv_peers_) {
+      const std::size_t n = options_.batched ? 1 : pl.entries.size();
+      for (std::size_t k = 0; k < n; ++k) {
+        payloads_.push_back(p.recv_borrow<std::byte>(pl.peer, tag_));
+      }
+    }
+    std::size_t next = 0;
     for (const auto& pl : recv_peers_) {
       if (options_.batched) {
-        payloads.push_back(p.recv_borrow<std::byte>(pl.peer, tag_));
-        const auto view = payloads.back().view();
-        std::size_t off = 0;
-        for (const auto& e : pl.entries) {
-          std::uint64_t status = 0;
-          assert(off + sizeof status <= view.size());
-          std::memcpy(&status, view.data() + off, sizeof status);
-          off += sizeof status;
-          records.push_back({&e, status, payloads.size() - 1, off});
-          if (status != 0) off += e.count * sizeof(T);
-        }
-        assert(off == view.size() &&
-               "BlockExchangePlan2D: batched message size mismatch");
+        index_records<T>(payloads_[next++].view(), pl.entries);
       } else {
         for (const auto& e : pl.entries) {
-          payloads.push_back(p.recv_borrow<std::byte>(pl.peer, tag_));
-          const auto view = payloads.back().view();
-          std::uint64_t status = 0;
-          assert(view.size() >= sizeof status);
-          std::memcpy(&status, view.data(), sizeof status);
-          records.push_back(
-              {&e, status, payloads.size() - 1, sizeof(std::uint64_t)});
+          index_records<T>(payloads_[next++].view(), {&e, 1});
         }
       }
     }
-
-    std::vector<T> scratch;
-    const auto load_bytes = [&scratch](const std::byte* src,
-                                       std::size_t count) -> std::span<const T> {
-      scratch.resize(count);
-      std::memcpy(scratch.data(), src, count * sizeof(T));
-      return {scratch.data(), scratch.size()};
-    };
-    const auto load = [&](const Incoming& r) {
-      return load_bytes(payloads[r.payload].view().data() + r.data_off,
-                        r.edge->count);
-    };
+    index_records<T>(staged_local_, local_edges_);
 
     // Allocation pass: a deallocated destination materializes iff some
     // incoming strip from this round is non-trivial — *before* any strip
     // is unpacked, so the new block receives all of this round's halos.
     if (options_.sparse) {
-      for (const auto& r : records) {
-        if (r.status == 0) continue;
+      for (const auto& r : records_) {
+        if (r.data == nullptr) continue;
         auto& dst = blocks.block(
             static_cast<std::size_t>(blocks.local_index(r.edge->dst_id)));
-        if (dst.allocated()) continue;
-        if (nontrivial_any<T>(load(r))) dst.allocate();
-      }
-      for (std::size_t k = 0; k < local_edges_.size(); ++k) {
-        if (!staged_local_[k].has_data) continue;
-        auto& dst = blocks.block(static_cast<std::size_t>(
-            blocks.local_index(local_edges_[k].dst_id)));
-        if (dst.allocated()) continue;
-        if (nontrivial_any<T>(load_bytes(staged_local_[k].bytes.data(),
-                                         local_edges_[k].count))) {
+        if (!dst.allocated() && nontrivial_any<T>(r.data, r.edge->count)) {
           dst.allocate();
         }
       }
@@ -248,24 +206,13 @@ class BlockExchangePlan2D {
     // Unpack pass. Destinations still deallocated just drop their strips
     // (their value is zero by definition); allocated destinations take the
     // strip, or a zero fill when the source was deallocated.
-    for (const auto& r : records) {
+    for (const auto& r : records_) {
       auto& dst = blocks.block(
           static_cast<std::size_t>(blocks.local_index(r.edge->dst_id)));
-      if (!dst.allocated()) continue;
-      apply_strip(dst, r.edge->recv, r.status != 0 ? load(r)
-                                                   : std::span<const T>{});
+      if (dst.allocated()) apply_strip(dst.grid(), r.edge->recv, r.data);
     }
-    for (std::size_t k = 0; k < local_edges_.size(); ++k) {
-      const auto& e = local_edges_[k];
-      auto& dst = blocks.block(
-          static_cast<std::size_t>(blocks.local_index(e.dst_id)));
-      if (!dst.allocated()) continue;
-      apply_strip(dst, e.recv,
-                  staged_local_[k].has_data
-                      ? load_bytes(staged_local_[k].bytes.data(), e.count)
-                      : std::span<const T>{});
-    }
-    staged_local_.clear();
+    records_.clear();
+    payloads_.clear();
   }
 
   /// Blocking convenience: begin immediately followed by end (no overlap).
@@ -311,9 +258,11 @@ class BlockExchangePlan2D {
     std::vector<BlockEdge> entries;  ///< canonical (src, dst, dir) order
     std::size_t total_count = 0;     ///< sum of entry counts
   };
-  struct Staged {
-    bool has_data = false;
-    std::vector<std::byte> bytes;
+  /// One record of a round: its edge and where its strip's bytes start
+  /// (nullptr when the source block is deallocated).
+  struct Record {
+    const BlockEdge* edge = nullptr;
+    const std::byte* data = nullptr;
   };
 
   void compile(const BlockLayout2D& layout, std::vector<int> owner, int rank,
@@ -422,46 +371,72 @@ class BlockExchangePlan2D {
     };
     group(sends, send_peers_, send_entry_total_);
     group(recvs, recv_peers_, recv_entry_total_);
+    payloads_.reserve(options.batched ? recv_peers_.size() : recv_entry_total_);
+    records_.reserve(recv_entry_total_ + local_edges_.size());
   }
 
-  /// Append one wire record for edge `e` (owned source block) to `buf`.
+  /// Append one wire record for edge `e` (owned source block) to `buf`,
+  /// copying the strip's row segments straight from the grid.
   template <typename T>
-  void append_record(std::vector<std::byte>& buf, const BlockSet<T>& blocks,
-                     const BlockEdge& e) const {
+  static void append_record(std::vector<std::byte>& buf,
+                            const BlockSet<T>& blocks, const BlockEdge& e) {
     const auto& src =
         blocks.block(static_cast<std::size_t>(blocks.local_index(e.src_id)));
     const std::uint64_t status = src.allocated() ? 1 : 0;
     const std::size_t off = buf.size();
     buf.resize(off + sizeof status + (status != 0 ? e.count * sizeof(T) : 0));
     std::memcpy(buf.data() + off, &status, sizeof status);
-    if (status != 0) {
-      const auto data =
-          src.grid().pack_region(e.send.i0, e.send.i1, e.send.j0, e.send.j1);
-      assert(data.size() == e.count);
-      std::memcpy(buf.data() + off + sizeof status, data.data(),
-                  e.count * sizeof(T));
+    if (status == 0) return;
+    const auto& g = src.grid();
+    std::byte* out = buf.data() + off + sizeof status;
+    const auto w = static_cast<std::size_t>(e.send.j1 - e.send.j0) * sizeof(T);
+    for (std::ptrdiff_t i = e.send.i0; i < e.send.i1; ++i, out += w) {
+      std::memcpy(out, g.row(i) + e.send.j0, w);
     }
   }
 
-  /// Scatter a strip into dst's ghost region; an empty span means the
-  /// source was deallocated — the ghost strip becomes exact zero.
+  /// Append to records_ one record per entry of `entries`, parsed from
+  /// `bytes` (a batched message, a per-pair message or the local staging).
   template <typename T>
-  static void apply_strip(MeshBlock<T>& dst, const Region2& r,
-                          std::span<const T> data) {
-    if (data.empty()) {
-      for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
-        for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) dst.grid()(i, j) = T{};
+  void index_records(std::span<const std::byte> bytes,
+                     std::span<const BlockEdge> entries) {
+    std::size_t off = 0;
+    for (const auto& e : entries) {
+      std::uint64_t status = 0;
+      assert(off + sizeof status <= bytes.size());
+      std::memcpy(&status, bytes.data() + off, sizeof status);
+      off += sizeof status;
+      records_.push_back({&e, status != 0 ? bytes.data() + off : nullptr});
+      if (status != 0) off += e.count * sizeof(T);
+    }
+    assert(off == bytes.size() &&
+           "BlockExchangePlan2D: batched message size mismatch");
+  }
+
+  /// Copy a strip's row segments into ghost region `r`; a null strip means
+  /// the source was deallocated — the ghost strip becomes exact zero.
+  template <typename T>
+  static void apply_strip(Grid2D<T>& g, const Region2& r,
+                          const std::byte* data) {
+    const auto w = static_cast<std::size_t>(r.j1 - r.j0);
+    for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
+      if (data == nullptr) {
+        std::fill_n(g.row(i) + r.j0, w, T{});
+      } else {
+        std::memcpy(g.row(i) + r.j0, data, w * sizeof(T));
+        data += w * sizeof(T);
       }
-    } else {
-      dst.grid().unpack_region(r.i0, r.i1, r.j0, r.j1, data);
     }
   }
 
   /// Does any strip value exceed the allocation threshold?
   template <typename T>
-  [[nodiscard]] bool nontrivial_any(std::span<const T> v) const {
+  [[nodiscard]] bool nontrivial_any(const std::byte* data,
+                                    std::size_t count) const {
     if constexpr (std::is_arithmetic_v<T>) {
-      for (const T& x : v) {
+      for (std::size_t k = 0; k < count; ++k) {
+        T x;
+        std::memcpy(&x, data + k * sizeof(T), sizeof x);
         if (std::abs(static_cast<double>(x)) > options_.alloc_threshold) {
           return true;
         }
@@ -469,7 +444,7 @@ class BlockExchangePlan2D {
       return false;
     } else {
       // Non-arithmetic payloads have no magnitude: any data is non-trivial.
-      return !v.empty();
+      return count > 0;
     }
   }
 
@@ -493,7 +468,11 @@ class BlockExchangePlan2D {
   std::vector<PeerList> recv_peers_;    ///< ascending peer rank
   std::size_t send_entry_total_ = 0;
   std::size_t recv_entry_total_ = 0;
-  std::vector<Staged> staged_local_;    ///< begin→end staging, local edges
+  /// begin→end staging of the local edges' records (capacity kept).
+  std::vector<std::byte> staged_local_;
+  /// end_exchange_all's per-round state, kept to reuse its capacity.
+  std::vector<mpl::Received<std::byte>> payloads_;
+  std::vector<Record> records_;
   bool in_flight_ = false;
 };
 

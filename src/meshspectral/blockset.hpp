@@ -15,6 +15,10 @@
 //                     rank holds an identical copy.
 //   distribute_*    — block→rank maps (contiguous, round-robin, arbitrary).
 //                     All ranks must agree on the map (SPMD discipline).
+//   block_layout /  — one block per rank of a CartGrid2D (the classic SPMD
+//   block_owners      decomposition), or what a BlockConfig{nbx, nby,
+//                     owner} describes on n ranks: the 2-D apps' one way
+//                     to name a decomposition.
 //   MeshBlock<T>    — one block: its global window plus an optional field
 //                     (a Grid2D<T> with explicit ranges). An *unallocated*
 //                     block stores no field data; it reads as identically
@@ -36,6 +40,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -106,6 +112,78 @@ inline std::vector<int> distribute_blocks_round_robin(int nblocks, int nranks) {
   std::vector<int> owner(static_cast<std::size_t>(nblocks));
   for (int id = 0; id < nblocks; ++id) owner[static_cast<std::size_t>(id)] = id % nranks;
   return owner;
+}
+
+/// One block per rank of `pgrid`: block (bx, by) covers exactly the section
+/// rank pgrid.rank_of(bx, by) owns as a one-grid-per-rank Grid2D.
+inline BlockLayout2D block_layout(const mpl::CartGrid2D& pgrid,
+                                  std::size_t global_nx, std::size_t global_ny,
+                                  Periodicity periodic = {},
+                                  std::size_t ghost = 1) {
+  return BlockLayout2D{global_nx, global_ny, pgrid.npx(), pgrid.npy(), ghost,
+                       periodic};
+}
+
+/// The owner map of block_layout(pgrid, ...): block (bx, by) lives on
+/// pgrid.rank_of(bx, by).
+inline std::vector<int> block_owners(const mpl::CartGrid2D& pgrid) {
+  std::vector<int> owner(static_cast<std::size_t>(pgrid.size()));
+  for (int bx = 0; bx < pgrid.npx(); ++bx) {
+    for (int by = 0; by < pgrid.npy(); ++by) {
+      owner[static_cast<std::size_t>(bx * pgrid.npy() + by)] =
+          pgrid.rank_of(bx, by);
+    }
+  }
+  return owner;
+}
+
+/// `layout`, after checking that it covers a global_nx x global_ny domain
+/// with the given periodicity and at least one ghost layer; throws
+/// std::invalid_argument naming `who` otherwise.
+inline const BlockLayout2D& require_domain(const BlockLayout2D& layout,
+                                           std::size_t global_nx,
+                                           std::size_t global_ny,
+                                           Periodicity periodic,
+                                           const char* who) {
+  if (layout.global_nx != global_nx || layout.global_ny != global_ny ||
+      layout.ghost < 1 || layout.periodic.x != periodic.x ||
+      layout.periodic.y != periodic.y) {
+    throw std::invalid_argument(std::string(who) +
+                                ": block layout does not describe the domain");
+  }
+  return layout;
+}
+
+/// Block decomposition of a 2-D app domain over `nprocs` ranks. The default
+/// (nbx = nby = 0, empty owner map) is one block per rank of the
+/// near_square process grid.
+struct BlockConfig {
+  int nbx = 0;  ///< blocks along x (0 = match the process grid)
+  int nby = 0;  ///< blocks along y (0 = match the process grid)
+  /// block→rank map (size nbx*nby); empty = contiguous distribution.
+  std::vector<int> owner;
+};
+
+/// The layout `config` describes for a global_nx x global_ny domain.
+inline BlockLayout2D block_layout(const BlockConfig& config, int nprocs,
+                                  std::size_t global_nx, std::size_t global_ny,
+                                  Periodicity periodic = {},
+                                  std::size_t ghost = 1) {
+  if (config.nbx <= 0 || config.nby <= 0) {
+    return block_layout(mpl::CartGrid2D::near_square(nprocs), global_nx,
+                        global_ny, periodic, ghost);
+  }
+  return BlockLayout2D{global_nx, global_ny, config.nbx, config.nby, ghost,
+                       periodic};
+}
+
+/// The owner map `config` describes on `nprocs` ranks.
+inline std::vector<int> block_owners(const BlockConfig& config, int nprocs) {
+  if (!config.owner.empty()) return config.owner;
+  if (config.nbx <= 0 || config.nby <= 0) {
+    return block_owners(mpl::CartGrid2D::near_square(nprocs));
+  }
+  return distribute_blocks_contiguous(config.nbx * config.nby, nprocs);
 }
 
 /// One meshblock: a global window plus an optional (sparse) field. The
@@ -307,5 +385,24 @@ class BlockSet {
   std::vector<MeshBlock<T>> blocks_;   ///< ascending block id
   std::vector<int> local_index_;       ///< block id -> index in blocks_, or -1
 };
+
+/// Local (per-rank) reduction over the interiors of every allocated block,
+/// blocks in ascending id order: ops.hpp's local_reduce lifted to a block
+/// set (at one block per rank, the same fold over the same cells).
+template <typename T, typename Acc, typename F>
+Acc local_reduce(const BlockSet<T>& blocks, Acc init, F&& combine) {
+  Acc acc = std::move(init);
+  for (const auto& b : blocks) {
+    if (!b.allocated()) continue;
+    const auto& g = b.grid();
+    const auto nx = static_cast<std::ptrdiff_t>(g.nx());
+    const auto ny = static_cast<std::ptrdiff_t>(g.ny());
+    for (std::ptrdiff_t i = 0; i < nx; ++i) {
+      const T* r = g.row(i);
+      for (std::ptrdiff_t j = 0; j < ny; ++j) acc = combine(std::move(acc), r[j]);
+    }
+  }
+  return acc;
+}
 
 }  // namespace ppa::mesh

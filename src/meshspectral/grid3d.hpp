@@ -3,8 +3,7 @@
 // Local section of a 3-D grid distributed over a 3-D Cartesian process grid
 // with ghost layers — the substrate for the paper's three-dimensional mesh
 // archetype applications (the FDTD electromagnetics code of section 7.2).
-// Ghost refresh lives in exchange.hpp (blocking) and plan.hpp (persistent
-// split-phase plans).
+// Ghost refresh lives in plan.hpp (persistent split-phase plans).
 //
 // Storage layout: the innermost (z) extent is padded so every (i, j) pencil
 // starts on a cache-line boundary (base pointer 64-byte aligned, pencil

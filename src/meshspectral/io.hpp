@@ -15,8 +15,10 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "meshspectral/blockset.hpp"
@@ -89,33 +91,41 @@ void scatter_grid(mpl::Process& p, const mpl::CartGrid2D& pgrid,
 /// block→rank distribution — contiguous, round-robin, oversubscribed or
 /// deliberately imbalanced. Deallocated blocks contribute no data and
 /// assemble as exact zeros (their defined value). Returns the dense global
-/// array on root, an empty array elsewhere.
-template <mpl::Wire T>
-Array2D<T> gather_blocks(mpl::Process& p, const BlockSet<T>& blocks,
-                         int root = 0) {
+/// array on root, an empty array elsewhere. `proj` maps each interior cell
+/// to the gathered value (e.g. one component of a multi-field state), so a
+/// projection needs no staging copy of the block set.
+template <typename T, typename Proj = std::identity,
+          mpl::Wire U = std::remove_cvref_t<std::invoke_result_t<Proj&, const T&>>>
+Array2D<U> gather_blocks(mpl::Process& p, const BlockSet<T>& blocks,
+                         int root = 0, Proj proj = {}) {
   const auto& layout = blocks.layout();
   // Per-block header: {id, xlo, xhi, ylo, yhi, allocated}. Data part:
   // interiors of *allocated* blocks only, concatenated in header order.
   std::vector<std::uint64_t> headers;
-  std::vector<T> data;
+  std::vector<U> data;
   headers.reserve(blocks.size() * 6);
+  std::size_t cells = 0;
+  for (const auto& b : blocks) cells += b.allocated() ? b.nx() * b.ny() : 0;
+  data.reserve(cells);
   for (const auto& b : blocks) {
     headers.insert(headers.end(),
                    {static_cast<std::uint64_t>(b.id()), b.x_range().lo,
                     b.x_range().hi, b.y_range().lo, b.y_range().hi,
                     static_cast<std::uint64_t>(b.allocated() ? 1 : 0)});
-    if (b.allocated()) {
-      const auto flat = b.grid().interior();
-      data.insert(data.end(), flat.flat().begin(), flat.flat().end());
+    if (!b.allocated()) continue;
+    const auto& g = b.grid();
+    for (std::size_t i = 0; i < g.nx(); ++i) {
+      const T* r = g.row(static_cast<std::ptrdiff_t>(i));
+      for (std::size_t j = 0; j < g.ny(); ++j) data.push_back(proj(r[j]));
     }
   }
   auto all_headers = p.gather_parts(
       std::span<const std::uint64_t>(headers.data(), headers.size()), root);
   auto all_data =
-      p.gather_parts(std::span<const T>(data.data(), data.size()), root);
+      p.gather_parts(std::span<const U>(data.data(), data.size()), root);
   if (p.rank() != root) return {};
 
-  Array2D<T> out(layout.global_nx, layout.global_ny);  // zero-initialized
+  Array2D<U> out(layout.global_nx, layout.global_ny);  // zero-initialized
   for (std::size_t r = 0; r < all_headers.size(); ++r) {
     const auto& h = all_headers[r];
     const auto& d = all_data[r];

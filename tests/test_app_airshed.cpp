@@ -6,7 +6,10 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "apps/airshed/airshed.hpp"
 
@@ -22,6 +25,25 @@ AirshedConfig small_config() {
   cfg.nx = 32;
   cfg.ny = 24;
   return cfg;
+}
+
+/// Gather all four species on rank 0.
+std::array<Array2D<double>, 4> gather_all(AirshedSim& sim) {
+  return {sim.gather_species(0), sim.gather_species(1), sim.gather_species(2),
+          sim.gather_species(3)};
+}
+
+/// All four species after `steps` steps on one rank.
+std::array<Array2D<double>, 4> one_rank_run(const AirshedConfig& cfg,
+                                            int steps) {
+  std::array<Array2D<double>, 4> out;
+  const mpl::CartGrid2D pgrid(1, 1);
+  mpl::spmd_run(1, [&](mpl::Process& proc) {
+    AirshedSim sim(proc, pgrid, cfg);
+    sim.run(steps);
+    out = gather_all(sim);
+  });
+  return out;
 }
 
 TEST(AirshedApp, PhotolysisIsDiurnal) {
@@ -165,6 +187,35 @@ TEST(AirshedApp, OzoneFormsDownwindOfCity) {
   });
 }
 
+TEST(AirshedApp, ConstructsFromTemporaryProcessGrid) {
+  // The sim holds its decomposition by value: a process grid that dies at
+  // the end of the constructor's full-expression must not be read later by
+  // step or the gathers.
+  const auto cfg = small_config();
+  constexpr int kSteps = 10;
+  const auto reference = one_rank_run(cfg, kSteps);
+  mpl::spmd_run(4, [&](mpl::Process& proc) {
+    AirshedSim sim(proc, mpl::CartGrid2D::near_square(4), cfg);
+    sim.run(kSteps);
+    auto out = gather_all(sim);
+    if (proc.rank() != 0) return;
+    for (std::size_t s = 0; s < 4; ++s) EXPECT_EQ(out[s], reference[s]) << s;
+  });
+}
+
+TEST(AirshedApp, RejectsLayoutOfAnotherDomain) {
+  // An open domain's layout is not periodic and covers the config's extents.
+  const auto cfg = small_config();
+  mpl::spmd_run(1, [&](mpl::Process& proc) {
+    const mpl::CartGrid2D pgrid(1, 1);
+    auto layout = mesh::block_layout(pgrid, cfg.nx, cfg.ny,
+                                     mesh::Periodicity{true, true});
+    EXPECT_THROW((void)AirshedSim(proc, layout, {0}, cfg), std::invalid_argument);
+    layout = mesh::block_layout(pgrid, cfg.nx, cfg.ny + 2);
+    EXPECT_THROW((void)AirshedSim(proc, layout, {0}, cfg), std::invalid_argument);
+  });
+}
+
 // ----------------------------------------------------------- block driver --
 
 AirshedConfig block_test_config() {
@@ -174,36 +225,21 @@ AirshedConfig block_test_config() {
   return cfg;
 }
 
-/// Gather all four species from either sim type on rank 0.
-template <typename Sim>
-std::array<Array2D<double>, 4> gather_all(Sim& sim) {
-  return {sim.gather_species(0), sim.gather_species(1), sim.gather_species(2),
-          sim.gather_species(3)};
-}
-
-TEST(AirshedBlocks, OneBlockPerRankMatchesSingleGridBitwise) {
+TEST(AirshedBlocks, OneBlockPerRankMatchesOneRankBitwise) {
   const auto cfg = block_test_config();
   constexpr int kSteps = 20;
-  for (const int p : {1, 2, 4}) {
+  const auto reference = one_rank_run(cfg, kSteps);
+  for (const int p : {2, 4, 8}) {
     const auto pgrid = mpl::CartGrid2D::near_square(p);
-    std::array<Array2D<double>, 4> grid_out, block_out;
+    std::array<Array2D<double>, 4> block_out;
     mpl::spmd_run(p, [&](mpl::Process& proc) {
       AirshedSim sim(proc, pgrid, cfg);
-      sim.run(kSteps);
-      auto out = gather_all(sim);
-      if (proc.rank() == 0) grid_out = std::move(out);
-    });
-    const auto layout = app::make_airshed_block_layout(cfg, p);
-    const auto owner =
-        mesh::distribute_blocks_contiguous(layout.nblocks(), p);
-    mpl::spmd_run(p, [&](mpl::Process& proc) {
-      app::AirshedBlockSim sim(proc, layout, owner, cfg);
       sim.run(kSteps);
       auto out = gather_all(sim);
       if (proc.rank() == 0) block_out = std::move(out);
     });
     for (int s = 0; s < 4; ++s) {
-      const auto& a = grid_out[static_cast<std::size_t>(s)];
+      const auto& a = reference[static_cast<std::size_t>(s)];
       const auto& b = block_out[static_cast<std::size_t>(s)];
       ASSERT_EQ(a.rows(), b.rows());
       for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -216,30 +252,52 @@ TEST(AirshedBlocks, OneBlockPerRankMatchesSingleGridBitwise) {
   }
 }
 
+TEST(AirshedBlocks, OneBlockPerRankMessageCountsPinned) {
+  // 20 transport rounds then one species gather. `messages` and the
+  // collective counts are those of the one-grid-per-rank ExchangePlan2D
+  // driver this path replaced (open domain: no peer is reached twice);
+  // `bytes` carry the 8-byte status word per strip and the block gather's
+  // 6-word headers.
+  const auto cfg = block_test_config();
+  struct Pin {
+    int np;
+    std::uint64_t messages, bytes, gather;
+  };
+  for (const Pin pin : {Pin{2, 42, 47472, 4}, Pin{4, 166, 113040, 8}}) {
+    const auto pgrid = mpl::CartGrid2D::near_square(pin.np);
+    mpl::TraceSnapshot trace;
+    mpl::spmd_collect<int>(
+        pin.np,
+        [&](mpl::Process& proc) {
+          AirshedSim sim(proc, pgrid, cfg);
+          sim.run(20);
+          (void)sim.gather_species(2);
+          return 0;
+        },
+        &trace);
+    EXPECT_EQ(trace.messages, pin.messages) << "np=" << pin.np;
+    EXPECT_EQ(trace.bytes, pin.bytes) << "np=" << pin.np;
+    EXPECT_EQ(trace.op(mpl::Op::kAllreduce), 0u) << "np=" << pin.np;
+    EXPECT_EQ(trace.op(mpl::Op::kGather), pin.gather) << "np=" << pin.np;
+  }
+}
+
 TEST(AirshedBlocks, OversubscribedDistributionsMatchReferenceBitwise) {
   const auto cfg = block_test_config();
   constexpr int kSteps = 15;
-  std::array<Array2D<double>, 4> reference;
-  {
-    const mpl::CartGrid2D pgrid(1, 1);
-    mpl::spmd_run(1, [&](mpl::Process& proc) {
-      AirshedSim sim(proc, pgrid, cfg);
-      sim.run(kSteps);
-      reference = gather_all(sim);
-    });
-  }
-  for (const int np : {2, 4}) {
-    for (const bool batched : {true, false}) {
-      app::AirshedBlockConfig config;
-      config.nbx = 4;
-      config.nby = 2;
-      config.owner = mesh::distribute_blocks_round_robin(8, np);
-      config.batched = batched;
-      const auto layout = app::make_airshed_block_layout(cfg, np, config);
+  const auto reference = one_rank_run(cfg, kSteps);
+  for (const int np : {1, 2, 4, 8}) {
+    // 4x2 round-robin (oversubscribed for np < 8) and 3x3 round-robin
+    // (never divides evenly).
+    for (const auto& [nbx, nby] : {std::pair{4, 2}, std::pair{3, 3}}) {
+      mesh::BlockConfig config;
+      config.nbx = nbx;
+      config.nby = nby;
+      config.owner = mesh::distribute_blocks_round_robin(nbx * nby, np);
+      const auto layout = mesh::block_layout(config, np, cfg.nx, cfg.ny);
       std::array<Array2D<double>, 4> block_out;
       mpl::spmd_run(np, [&](mpl::Process& proc) {
-        app::AirshedBlockSim sim(proc, layout, config.owner, cfg,
-                                 config.batched);
+        AirshedSim sim(proc, layout, config.owner, cfg);
         sim.run(kSteps);
         auto out = gather_all(sim);
         if (proc.rank() == 0) block_out = std::move(out);
@@ -250,7 +308,7 @@ TEST(AirshedBlocks, OversubscribedDistributionsMatchReferenceBitwise) {
         for (std::size_t i = 0; i < a.rows(); ++i) {
           for (std::size_t j = 0; j < a.cols(); ++j) {
             ASSERT_EQ(a(i, j), b(i, j))
-                << "np=" << np << " batched=" << batched << " species " << s
+                << "np=" << np << " nbx=" << nbx << " species " << s
                 << " at (" << i << "," << j << ")";
           }
         }

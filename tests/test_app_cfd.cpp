@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <stdexcept>
 #include <string>
 
 #include "apps/cfd/euler2d.hpp"
@@ -58,13 +60,15 @@ TEST(CfdApp, UniformStateIsSteady) {
     const EulerState s0 = app::to_conserved({1.3, 0.2, -0.1, 0.9}, cfg.gamma);
     sim.set_state([&](std::size_t, std::size_t) { return s0; });
     sim.run(20);
-    mesh::for_interior(sim.state(), [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-      const EulerState& s = sim.state()(i, j);
-      EXPECT_NEAR(s.rho, s0.rho, 1e-12);
-      EXPECT_NEAR(s.mx, s0.mx, 1e-12);
-      EXPECT_NEAR(s.my, s0.my, 1e-12);
-      EXPECT_NEAR(s.E, s0.E, 1e-12);
-    });
+    for (const auto& b : sim.state()) {
+      mesh::for_interior(b.grid(), [&](std::ptrdiff_t i, std::ptrdiff_t j) {
+        const EulerState& s = b.grid()(i, j);
+        EXPECT_NEAR(s.rho, s0.rho, 1e-12);
+        EXPECT_NEAR(s.mx, s0.mx, 1e-12);
+        EXPECT_NEAR(s.my, s0.my, 1e-12);
+        EXPECT_NEAR(s.E, s0.E, 1e-12);
+      });
+    }
   });
 }
 
@@ -176,6 +180,39 @@ TEST(CfdApp, VorticityGeneratedAtInterface) {
   });
 }
 
+TEST(CfdApp, ConstructsFromTemporaryProcessGrid) {
+  // The sim holds its decomposition by value: a process grid that dies at
+  // the end of the constructor's full-expression must not be read later by
+  // step or the gathers.
+  auto cfg = small_config();
+  constexpr int kSteps = 6;
+  const auto reference = app::run_shock_interface(cfg, kSteps, 1);
+  mpl::spmd_run(4, [&](mpl::Process& proc) {
+    CfdSim sim(proc, mpl::CartGrid2D::near_square(4), cfg);
+    sim.init_shock_interface();
+    sim.run(kSteps);
+    const auto rho = sim.gather_density(0);
+    const auto omega = sim.gather_vorticity(0);
+    if (proc.rank() != 0) return;
+    EXPECT_EQ(rho, reference);
+    EXPECT_EQ(omega.rows(), cfg.nx);
+  });
+}
+
+TEST(CfdApp, RejectsLayoutOfAnotherDomain) {
+  // The scenario is y-periodic; a layout that is not, or that covers other
+  // extents, describes a different domain.
+  const auto cfg = small_config();
+  mpl::spmd_run(1, [&](mpl::Process& proc) {
+    const mpl::CartGrid2D pgrid(1, 1);
+    auto layout = mesh::block_layout(pgrid, cfg.nx, cfg.ny);
+    EXPECT_THROW((void)CfdSim(proc, layout, {0}, cfg), std::invalid_argument);
+    layout = mesh::block_layout(pgrid, cfg.nx + 1, cfg.ny,
+                                mesh::Periodicity{false, true});
+    EXPECT_THROW((void)CfdSim(proc, layout, {0}, cfg), std::invalid_argument);
+  });
+}
+
 // ----------------------------------------------------------- block driver --
 
 CfdConfig block_test_config() {
@@ -185,60 +222,52 @@ CfdConfig block_test_config() {
   return cfg;
 }
 
-TEST(CfdBlocks, OneBlockPerRankMatchesSingleGridBitwise) {
+TEST(CfdBlocks, OneBlockPerRankMatchesOneRankBitwise) {
   const auto cfg = block_test_config();
   constexpr int kSteps = 20;
-  for (const int p : {1, 2, 4}) {
-    const auto grid = app::run_shock_interface(cfg, kSteps, p);
-    const auto blk = app::run_shock_interface_blocks(cfg, kSteps, p);
-    ASSERT_EQ(grid.rows(), blk.rows());
-    for (std::size_t i = 0; i < grid.rows(); ++i) {
-      for (std::size_t j = 0; j < grid.cols(); ++j) {
-        ASSERT_EQ(grid(i, j), blk(i, j))
+  const auto reference = app::run_shock_interface(cfg, kSteps, 1);
+  for (const int p : {2, 4, 8}) {
+    const auto blk = app::run_shock_interface(cfg, kSteps, p);
+    ASSERT_EQ(reference.rows(), blk.rows());
+    for (std::size_t i = 0; i < reference.rows(); ++i) {
+      for (std::size_t j = 0; j < reference.cols(); ++j) {
+        ASSERT_EQ(reference(i, j), blk(i, j))
             << "p=" << p << " at (" << i << "," << j << ")";
       }
     }
   }
 }
 
-TEST(CfdBlocks, MessageCountsMatchSingleGridWithoutDuplicatePeers) {
-  // The scenario domain is always y-periodic, so process grids with npy=2
-  // reach the same peer through both y directions and the batched round
-  // legitimately coalesces them; on npy=1 (y self-wraps locally) the
-  // batched block round must match the single-grid plan message for
-  // message. Either way it never sends more.
+TEST(CfdBlocks, OneBlockPerRankMessageCountsPinned) {
+  // 5 steps of one boundary round and one allreduce each. On npy=1 (p=2:
+  // y self-wraps locally) the round sends exactly the messages of the
+  // one-grid-per-rank ExchangePlan2D driver this path replaced (20). The
+  // scenario domain is always y-periodic, so with npy=2 (p=4) both y
+  // directions reach the same peer and the batched round coalesces them:
+  // 80 messages where that driver sent 100. `bytes` carry the 8-byte status
+  // word per strip.
   const auto cfg = block_test_config();
   constexpr int kSteps = 5;
-  for (const int p : {2, 4}) {
-    const auto pgrid = mpl::CartGrid2D::near_square(p);
-    mpl::TraceSnapshot grid_trace, block_trace;
+  struct Pin {
+    int np;
+    std::uint64_t messages, bytes, allreduce;
+  };
+  for (const Pin pin : {Pin{2, 20, 5280, 10}, Pin{4, 80, 36640, 20}}) {
+    const auto pgrid = mpl::CartGrid2D::near_square(pin.np);
+    mpl::TraceSnapshot trace;
     mpl::spmd_collect<int>(
-        p,
+        pin.np,
         [&](mpl::Process& proc) {
           CfdSim sim(proc, pgrid, cfg);
           sim.init_shock_interface();
           sim.run(kSteps);
           return 0;
         },
-        &grid_trace);
-    const auto layout = app::make_cfd_block_layout(cfg, p);
-    const auto owner =
-        mesh::distribute_blocks_contiguous(layout.nblocks(), p);
-    mpl::spmd_collect<int>(
-        p,
-        [&](mpl::Process& proc) {
-          app::CfdBlockSim sim(proc, layout, owner, cfg);
-          sim.init_shock_interface();
-          sim.run(kSteps);
-          return 0;
-        },
-        &block_trace);
-    if (pgrid.npy() == 1) {
-      EXPECT_EQ(block_trace.messages, grid_trace.messages) << "p=" << p;
-    }
-    EXPECT_LE(block_trace.messages, grid_trace.messages) << "p=" << p;
-    EXPECT_EQ(block_trace.op(mpl::Op::kAllreduce),
-              grid_trace.op(mpl::Op::kAllreduce));
+        &trace);
+    EXPECT_EQ(trace.messages, pin.messages) << "np=" << pin.np;
+    EXPECT_EQ(trace.bytes, pin.bytes) << "np=" << pin.np;
+    EXPECT_EQ(trace.op(mpl::Op::kAllreduce), pin.allreduce) << "np=" << pin.np;
+    EXPECT_EQ(trace.op(mpl::Op::kGather), 0u) << "np=" << pin.np;
   }
 }
 
@@ -246,21 +275,23 @@ TEST(CfdBlocks, OversubscribedDistributionsMatchReferenceBitwise) {
   const auto cfg = block_test_config();
   constexpr int kSteps = 20;
   const auto reference = app::run_shock_interface(cfg, kSteps, 1);
-  for (const int np : {2, 4}) {
-    app::CfdBlockConfig over;  // 4x2 = 8 blocks, oversubscribed
+  for (const int np : {1, 2, 4, 8}) {
+    mesh::BlockConfig over;  // 4x2 = 8 blocks, oversubscribed for np < 8
     over.nbx = 4;
     over.nby = 2;
-    app::CfdBlockConfig rr = over;
+    mesh::BlockConfig rr = over;
     rr.owner = mesh::distribute_blocks_round_robin(8, np);
-    rr.batched = false;
-    for (const auto& config : {over, rr}) {
-      const auto blk =
-          app::run_shock_interface_blocks(cfg, kSteps, np, config);
+    mesh::BlockConfig nondiv;  // 9 blocks never divide evenly
+    nondiv.nbx = 3;
+    nondiv.nby = 3;
+    nondiv.owner = mesh::distribute_blocks_round_robin(9, np);
+    for (const auto& config : {over, rr, nondiv}) {
+      const auto blk = app::run_shock_interface(cfg, kSteps, np, config);
       for (std::size_t i = 0; i < reference.rows(); ++i) {
         for (std::size_t j = 0; j < reference.cols(); ++j) {
           ASSERT_EQ(reference(i, j), blk(i, j))
-              << "np=" << np << " batched=" << config.batched << " at (" << i
-              << "," << j << ")";
+              << "np=" << np << " nbx=" << config.nbx << " round_robin="
+              << !config.owner.empty() << " at (" << i << "," << j << ")";
         }
       }
     }

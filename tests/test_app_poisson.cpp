@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <string>
 
@@ -175,83 +176,83 @@ PoissonProblem block_test_problem() {
   return prob;
 }
 
-TEST(PoissonBlocks, OneBlockPerRankMatchesSingleGridBitwise) {
-  // At one block per rank (the default layout) the block-set driver is the
-  // single-grid driver with a different substrate: same fields, bit for
-  // bit, and the same iteration count.
+TEST(PoissonBlocks, OneBlockPerRankMatchesSequentialBitwise) {
+  // At one block per rank (the default layout) every process count gives
+  // poisson_v1's field, bit for bit, and its iteration count.
   const auto prob = block_test_problem();
-  for (const int p : {1, 2, 4}) {
-    const auto v2 = app::poisson_spmd(prob, p);
-    const auto blk = app::poisson_blocks_spmd(prob, p);
-    EXPECT_EQ(v2.iterations, blk.iterations) << "p=" << p;
-    ASSERT_EQ(v2.u.rows(), blk.u.rows());
-    for (std::size_t i = 0; i < v2.u.rows(); ++i) {
-      for (std::size_t j = 0; j < v2.u.cols(); ++j) {
-        ASSERT_EQ(v2.u(i, j), blk.u(i, j))
+  const auto v1 = app::poisson_v1(prob);
+  for (const int p : {1, 2, 4, 8}) {
+    const auto blk = app::poisson_spmd(prob, p);
+    EXPECT_EQ(v1.iterations, blk.iterations) << "p=" << p;
+    ASSERT_EQ(v1.u.rows(), blk.u.rows());
+    for (std::size_t i = 0; i < v1.u.rows(); ++i) {
+      for (std::size_t j = 0; j < v1.u.cols(); ++j) {
+        ASSERT_EQ(v1.u(i, j), blk.u(i, j))
             << "p=" << p << " at (" << i << "," << j << ")";
       }
     }
   }
 }
 
-TEST(PoissonBlocks, OneBlockPerRankMatchesSingleGridMessageCounts) {
-  // The batched block exchange at one block per rank sends exactly the
-  // messages the single-grid plan sends (non-periodic, no duplicate
-  // peers), and the collective pattern is unchanged.
-  constexpr int kP = 4;
+TEST(PoissonBlocks, OneBlockPerRankMessageCountsPinned) {
+  // 912 iterations of one halo round and one allreduce each, then the
+  // header + payload gathers. `messages` and the collective counts are
+  // those of the one-grid-per-rank ExchangePlan2D driver this path
+  // replaced (no peer is reached twice on a non-periodic grid); `bytes`
+  // carry the batched round's 8-byte status word per strip and the block
+  // gather's 6-word headers.
   const auto prob = block_test_problem();
-  const auto pgrid = mpl::CartGrid2D::near_square(kP);
-  mpl::TraceSnapshot grid_trace, block_trace;
-  mpl::spmd_collect<int>(
-      kP,
-      [&](mpl::Process& p) {
-        (void)app::poisson_process(p, pgrid, prob);
-        return 0;
-      },
-      &grid_trace);
-  const auto layout = app::make_poisson_block_layout(prob, kP);
-  const auto owner =
-      mesh::distribute_blocks_contiguous(layout.nblocks(), kP);
-  mpl::spmd_collect<int>(
-      kP,
-      [&](mpl::Process& p) {
-        (void)app::poisson_blocks_process(p, layout, owner, prob);
-        return 0;
-      },
-      &block_trace);
-  EXPECT_EQ(block_trace.messages, grid_trace.messages);
-  EXPECT_EQ(block_trace.op(mpl::Op::kAllreduce),
-            grid_trace.op(mpl::Op::kAllreduce));
-  EXPECT_EQ(block_trace.op(mpl::Op::kGather), grid_trace.op(mpl::Op::kGather));
+  struct Pin {
+    int np;
+    std::uint64_t messages, bytes, allreduce, gather;
+  };
+  for (const Pin pin : {Pin{2, 3650, 338352, 1824, 4},
+                        Pin{4, 14598, 908896, 3648, 8}}) {
+    const auto pgrid = mpl::CartGrid2D::near_square(pin.np);
+    mpl::TraceSnapshot trace;
+    std::size_t iters = 0;
+    mpl::spmd_collect<int>(
+        pin.np,
+        [&](mpl::Process& p) {
+          const auto r = app::poisson_process(p, pgrid, prob);
+          if (p.rank() == 0) iters = r.iterations;
+          return 0;
+        },
+        &trace);
+    EXPECT_EQ(iters, 912u) << "np=" << pin.np;
+    EXPECT_EQ(trace.messages, pin.messages) << "np=" << pin.np;
+    EXPECT_EQ(trace.bytes, pin.bytes) << "np=" << pin.np;
+    EXPECT_EQ(trace.op(mpl::Op::kAllreduce), pin.allreduce) << "np=" << pin.np;
+    EXPECT_EQ(trace.op(mpl::Op::kGather), pin.gather) << "np=" << pin.np;
+  }
 }
 
 TEST(PoissonBlocks, AnyDistributionMatchesReferenceBitwise) {
   // Oversubscribed, non-divisible, and deliberately imbalanced block→rank
-  // maps — batched and not — all reproduce the reference field bitwise.
+  // maps all reproduce the reference field bitwise.
   const auto prob = block_test_problem();
   const auto reference = app::poisson_spmd(prob, 1);
 
   for (const int np : {1, 2, 4, 8}) {
-    std::vector<app::PoissonBlockConfig> configs;
-    app::PoissonBlockConfig over;  // 8 blocks, oversubscribed for np < 8
+    std::vector<mesh::BlockConfig> configs;
+    mesh::BlockConfig over;  // 8 blocks, oversubscribed for np < 8
     over.nbx = 4;
     over.nby = 2;
     configs.push_back(over);
-    app::PoissonBlockConfig nondiv;  // 9 blocks never divide evenly
+    mesh::BlockConfig nondiv;  // 9 blocks never divide evenly
     nondiv.nbx = 3;
     nondiv.nby = 3;
     nondiv.owner = mesh::distribute_blocks_round_robin(9, np);
     configs.push_back(nondiv);
-    app::PoissonBlockConfig lopsided;  // all on rank 0 but one
+    mesh::BlockConfig lopsided;  // all on rank 0 but one
     lopsided.nbx = 4;
     lopsided.nby = 2;
     lopsided.owner.assign(8, 0);
     lopsided.owner[5] = np - 1;
-    lopsided.batched = false;  // also exercises the per-pair path
     configs.push_back(lopsided);
 
     for (const auto& config : configs) {
-      const auto blk = app::poisson_blocks_spmd(prob, np, config);
+      const auto blk = app::poisson_spmd(prob, np, config);
       EXPECT_EQ(reference.iterations, blk.iterations) << "np=" << np;
       for (std::size_t i = 0; i < reference.u.rows(); ++i) {
         for (std::size_t j = 0; j < reference.u.cols(); ++j) {

@@ -300,7 +300,7 @@ TEST(BlockPlan, BatchingCoalescesWithoutChangingPayload) {
 
 TEST(BlockPlan, OneBlockPerRankMatchesExchangePlan2D) {
   // Block grid 2x2 over 4 ranks with the identity owner map is exactly the
-  // near-square process grid of the single-grid path: same halos, and the
+  // near-square process grid an ExchangePlan2D runs on: same halos, and the
   // batched round sends the same number of messages.
   constexpr std::size_t kN = 12, kM = 10;
   const auto layout = make_layout(kN, kM, 2, 2, {false, false});

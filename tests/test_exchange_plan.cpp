@@ -270,7 +270,8 @@ TEST(ExchangePlan, OverlappedStencilMatchesBlockingStencil) {
     u1.init_from_global(init);
     u2.init_from_global(init);
 
-    mesh::exchange_boundaries(p, pg, u1);
+    mesh::ExchangePlan2D blocking(pg, p.rank(), u1);
+    blocking.exchange(p, u1);
     mesh::apply_stencil(out1, u1, nine_point);
 
     mesh::ExchangePlan2D plan(pg, p.rank(), u2);

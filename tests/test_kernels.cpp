@@ -307,15 +307,15 @@ TEST(KernelBlocks, PoissonBlockDriverKernelMatchesLegacyBitwise) {
   prob.ny = 23;
   prob.tolerance = 1e-5;
   prob.g = [](double x, double y) { return x + 2.0 * y; };
-  app::PoissonBlockConfig config;
+  mesh::BlockConfig config;
   config.nbx = 3;
   config.nby = 2;
   config.owner = {0, 1, 1, 0, 1, 0};
 
   prob.sweep = mesh::SweepMode::kLegacy;
-  const auto legacy = app::poisson_blocks_spmd(prob, 2, config);
+  const auto legacy = app::poisson_spmd(prob, 2, config);
   prob.sweep = mesh::SweepMode::kKernel;
-  const auto kernel = app::poisson_blocks_spmd(prob, 2, config);
+  const auto kernel = app::poisson_spmd(prob, 2, config);
   const auto single = app::poisson_spmd(prob, 2);
 
   EXPECT_EQ(legacy.iterations, kernel.iterations);
@@ -331,15 +331,15 @@ TEST(KernelBlocks, EulerBlockDriverKernelMatchesLegacyBitwise) {
   app::CfdConfig cfg;
   cfg.nx = 40;
   cfg.ny = 18;
-  app::CfdBlockConfig config;
+  mesh::BlockConfig config;
   config.nbx = 2;
   config.nby = 3;
   config.owner = {0, 1, 0, 1, 0, 1};
 
   cfg.sweep = mesh::SweepMode::kLegacy;
-  const auto legacy = app::run_shock_interface_blocks(cfg, 8, 2, config);
+  const auto legacy = app::run_shock_interface(cfg, 8, 2, config);
   cfg.sweep = mesh::SweepMode::kKernel;
-  const auto kernel = app::run_shock_interface_blocks(cfg, 8, 2, config);
+  const auto kernel = app::run_shock_interface(cfg, 8, 2, config);
   const auto single = app::run_shock_interface(cfg, 8, 2);
 
   for (std::size_t i = 0; i < legacy.rows(); ++i)

@@ -92,10 +92,11 @@ TEST_P(ExchangeP, GhostsMatchNeighborInteriors) {
   mpl::spmd_run(nprocs, [&](mpl::Process& p) {
     Grid2D<double> g(kN, kM, pg, p.rank(), 1);
     g.init_from_global(&tagval);
-    mesh::exchange_boundaries(p, pg, g);
+    mesh::ExchangePlan2D plan(pg, p.rank(), g);
+    plan.exchange(p, g);
     // Every ghost cell whose global coordinate is inside the domain must
-    // hold the value the owning process wrote (corners included, thanks to
-    // the two-phase exchange).
+    // hold the value the owning process wrote (corners included: the plan
+    // exchanges with diagonal neighbors too).
     const auto nx = static_cast<std::ptrdiff_t>(g.nx());
     const auto ny = static_cast<std::ptrdiff_t>(g.ny());
     for (std::ptrdiff_t i = -1; i <= nx; ++i) {
@@ -123,7 +124,10 @@ TEST_P(ExchangeP, PeriodicWrapsAround) {
   mpl::spmd_run(nprocs, [&](mpl::Process& p) {
     Grid2D<double> g(kN, kM, pg, p.rank(), 1);
     g.init_from_global(&tagval);
-    mesh::exchange_boundaries_periodic(p, pg, g);
+    mesh::ExchangePlan2D plan(
+        pg, p.rank(), g,
+        mesh::ExchangePlan2D::Options{mesh::Periodicity{true, true}, true, 0});
+    plan.exchange(p, g);
     const auto nx = static_cast<std::ptrdiff_t>(g.nx());
     const auto ny = static_cast<std::ptrdiff_t>(g.ny());
     for (std::ptrdiff_t i = -1; i <= nx; ++i) {
@@ -154,7 +158,8 @@ TEST_P(ExchangeP, ExchangeMessageCountMatchesTopology) {
       nprocs,
       [&](mpl::Process& p) {
         Grid2D<double> g(16, 16, pg, p.rank(), 1);
-        mesh::exchange_boundaries(p, pg, g);
+        mesh::ExchangePlan2D plan(pg, p.rank(), g);
+        plan.exchange(p, g);
         return 0;
       },
       &trace);
@@ -176,7 +181,10 @@ TEST_P(ExchangeP, MixedPeriodicityWrapsOnlyOneAxis) {
     Grid2D<double> g(kN, kM, pg, p.rank(), 1);
     g.fill(-7.0);  // sentinel in all ghosts
     g.init_from_global(&tagval);
-    mesh::exchange_boundaries_mixed(p, pg, g, mesh::Periodicity{true, false});
+    mesh::ExchangePlan2D plan(
+        pg, p.rank(), g,
+        mesh::ExchangePlan2D::Options{mesh::Periodicity{true, false}, true, 0});
+    plan.exchange(p, g);
     const auto nx = static_cast<std::ptrdiff_t>(g.nx());
     const auto ny = static_cast<std::ptrdiff_t>(g.ny());
     for (std::ptrdiff_t i = -1; i <= nx; ++i) {
@@ -428,7 +436,8 @@ TEST_P(Exchange3DP, GhostsMatchNeighborInteriorsInclCorners) {
   mpl::spmd_run(nprocs, [&](mpl::Process& p) {
     Grid3D<double> g(kN, kM, kL, pg, p.rank(), 1);
     g.init_from_global(&tagval3);
-    mesh::exchange_boundaries(p, pg, g);
+    mesh::ExchangePlan3D plan(pg, p.rank(), g);
+    plan.exchange(p, g);
     const auto nx = static_cast<std::ptrdiff_t>(g.nx());
     const auto ny = static_cast<std::ptrdiff_t>(g.ny());
     const auto nz = static_cast<std::ptrdiff_t>(g.nz());
