@@ -155,19 +155,22 @@ awk '
 ' BENCH_kernels.json
 
 # ThreadSanitizer leg: the engine's monitor/abort/fault paths are the racy
-# part of the codebase; vet them under TSan when the toolchain supports it
-# (probe first — some images ship g++ without libtsan). Bench and examples
-# are skipped (timing-sensitive), and the fault soak runs reduced.
+# part of the codebase, and the per-rank CommTrace counter blocks are
+# written concurrently by every rank of a job (the mpl, collectives and
+# poisson suites drive them); vet them under TSan when the toolchain
+# supports it (probe first — some images ship g++ without libtsan). Bench
+# and examples are skipped (timing-sensitive), and the fault soak runs
+# reduced.
 if echo 'int main(){}' | g++ -xc++ -fsanitize=thread -o /tmp/tsan_probe - 2>/dev/null; then
   echo "==> TSan build"
   cmake -B "$BUILD_DIR-tsan" -S . -DPPA_SANITIZE=thread \
     -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-tsan" -j "$JOBS"
-  echo "==> TSan test (engine + scheduler + pipeline + faults + compose)"
+  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + mpl + collectives + poisson)"
   PPA_FAULT_SOAK_JOBS=40 PPA_SCHED_SOAK_JOBS=40 PPA_COMPOSE_SMOKE=1 \
     ctest --test-dir "$BUILD_DIR-tsan" \
     --output-on-failure -j "$JOBS" \
-    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose'
+    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_mpl|test_collectives|test_app_poisson'
 else
   echo "==> TSan leg skipped (no usable -fsanitize=thread toolchain)"
 fi

@@ -200,22 +200,11 @@ PoissonResult poisson_process(mpl::Process& p, const mesh::BlockLayout2D& layout
     }
     diffmax.store_replicated(p, p.allreduce(local_diffmax, mpl::MaxOp{}));
 
-    for (std::size_t b = 0; b < uk.size(); ++b) {
-      auto& ukg = uk.block(b).grid();
-      auto& ukpg = ukp.block(b).grid();
-      const auto& u = update[b];
-      if (prob.sweep == mesh::SweepMode::kKernel) {
-        auto ukw = mesh::field_view(ukg);
-        const auto ukpv = mesh::field_view(std::as_const(ukpg));
-        for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-          mesh::kern::copy_row(ukw.row(i), ukpv.row(i), u.j0, u.j1);
-        }
-        continue;
-      }
-      for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-        for (std::ptrdiff_t j = u.j0; j < u.j1; ++j) ukg(i, j) = ukpg(i, j);
-      }
-    }
+    // Fig 13's "copy new values to old", done as a swap: ukp already holds
+    // the global-boundary values (copied at init, never written), and the
+    // next round's exchange refreshes every ghost the stencil reads before
+    // the rim sweep, so the old iterate's stale ghosts are never read.
+    std::swap(uk, ukp);
     ++result.iterations;
   }
 

@@ -6,8 +6,8 @@
 // process before the value of the variable is used again" (paper section
 // 4.2). Global<T> enforces that discipline: the value can only be (re)set by
 // operations that establish the same value on every process — a broadcast
-// from one rank, or a value that is the result of a reduction (asserted
-// consistent across ranks in debug verification mode).
+// from one rank, or a value that is the result of a reduction (checked
+// consistent across ranks, in every build type, in verification mode).
 //
 // Thread-safety and ownership: each rank owns its own Global<T> replica;
 // the object itself holds no shared state. get() never blocks; the store_*
@@ -16,12 +16,22 @@
 // same order (SPMD discipline).
 #pragma once
 
-#include <cassert>
-#include <vector>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
 
 #include "mpl/process.hpp"
 
 namespace ppa::mesh {
+
+/// Thrown by Global::store_replicated in verification mode, on every rank,
+/// when the ranks' copies of the value differ.
+class GlobalDiverged : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 template <mpl::Wire T>
 class Global {
@@ -35,14 +45,21 @@ class Global {
 
   /// Set from a value computed identically on all ranks (e.g. a reduction
   /// result or compile-time constant). With `verify`, performs an allgather
-  /// and asserts copy consistency — the debugging aid the archetype's
-  /// transformation guidelines call for.
+  /// and throws GlobalDiverged when any two copies differ — the debugging
+  /// aid the archetype's transformation guidelines call for. Every rank
+  /// sees the same allgather result, so every rank throws (none is left
+  /// waiting in a later collective). float and double copies are compared
+  /// by bit pattern (identical NaNs agree, -0.0 and +0.0 do not), other
+  /// types with ==.
   void store_replicated(mpl::Process& p, const T& value, bool verify = false) {
     if (verify) {
       const auto all = p.allgather_value(value);
-      for (const auto& v : all) {
-        assert(v == value && "Global::store_replicated: copies diverged");
-        (void)v;
+      for (std::size_t r = 1; r < all.size(); ++r) {
+        if (!same_copy(all[r], all[0])) {
+          throw GlobalDiverged("Global::store_replicated: rank " +
+                               std::to_string(r) +
+                               "'s copy differs from rank 0's");
+        }
       }
     }
     value_ = value;
@@ -65,6 +82,16 @@ class Global {
   }
 
  private:
+  static bool same_copy(const T& a, const T& b) {
+    if constexpr (std::is_same_v<T, float>) {
+      return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+    } else if constexpr (std::is_same_v<T, double>) {
+      return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+    } else {
+      return a == b;
+    }
+  }
+
   T value_{};
 };
 

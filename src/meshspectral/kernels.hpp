@@ -21,16 +21,20 @@
 //                          — rim drivers matching for_rim's order;
 //   * jacobi_row / jacobi_sweep[_tiled], absdiff_max_row, copy_row
 //                          — the shared 5-point Jacobi kernels used by the
-//                            poisson app and the ablation bench.
+//                            poisson app and the benches (the app swaps
+//                            its iterates, so only the benches copy_row).
 //
 // Bitwise contract: every kernel evaluates each output element with exactly
 // the same floating-point expression and per-element operation order as the
 // legacy per-point code. Tiling only reorders *which element is computed
 // when* — outputs are disjoint from inputs in all stencil sweeps, so
-// results are bitwise-identical. Reduction kernels (absdiff_max_row) keep
-// strict forward order. The build stays on portable flags by default (no
-// fast-math anywhere; PPA_NATIVE_ARCH affects bench executables only), so
-// no FMA-contraction or reassociation divergence is introduced.
+// results are bitwise-identical. The reduction kernel (absdiff_max_row)
+// runs several independent maxima and combines them at the end; it does
+// not depend on order because max is exact, so its result is bitwise the
+// strict forward-order fold (NaN and signed zeros included). The build
+// stays on portable flags by default (no fast-math anywhere;
+// PPA_NATIVE_ARCH affects bench executables only), so no FMA-contraction
+// or reassociation divergence is introduced.
 #pragma once
 
 #include <algorithm>
@@ -200,17 +204,30 @@ void jacobi_sweep_tiled(FieldView2D<T> out, FieldView2D<const T> in,
       });
 }
 
-/// Strict forward-order running max of |a[j] - b[j]| — same reduction
-/// order as the legacy per-point diffmax loop.
+/// Running max of |a[j] - b[j]| over [j0, j1), starting from `running`.
+/// Four independent running maxima (one per j mod 4) are combined at the
+/// end, so the loop is not one serial max chain. The result is bitwise the
+/// forward-order fold `running = std::max(running, |a[j] - b[j]|)`: max is
+/// exact, every |a - b| is +0, positive or NaN, and std::max keeps its
+/// first argument unless the second is strictly greater — so a NaN
+/// element is skipped, a NaN or -0.0 `running` survives exactly as the
+/// fold keeps it, and no lane can hold a value equal to but with other
+/// bits than the fold's result (pinned by tests/test_kernels.cpp).
 template <typename T>
 [[nodiscard]] inline T absdiff_max_row(const T* PPA_RESTRICT a,
                                        const T* PPA_RESTRICT b,
                                        std::ptrdiff_t j0, std::ptrdiff_t j1,
                                        T running) {
-  for (std::ptrdiff_t j = j0; j < j1; ++j) {
-    running = std::max(running, std::abs(a[j] - b[j]));
+  T m0 = running, m1 = running, m2 = running, m3 = running;
+  std::ptrdiff_t j = j0;
+  for (; j + 4 <= j1; j += 4) {
+    m0 = std::max(m0, std::abs(a[j] - b[j]));
+    m1 = std::max(m1, std::abs(a[j + 1] - b[j + 1]));
+    m2 = std::max(m2, std::abs(a[j + 2] - b[j + 2]));
+    m3 = std::max(m3, std::abs(a[j + 3] - b[j + 3]));
   }
-  return running;
+  for (; j < j1; ++j) m0 = std::max(m0, std::abs(a[j] - b[j]));
+  return std::max(std::max(m0, m1), std::max(m2, m3));
 }
 
 /// Contiguous row-segment copy.

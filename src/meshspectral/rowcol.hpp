@@ -147,7 +147,7 @@ class RedistributePlanBase {
   void mark_begin(mpl::Process& p) {
     assert(!in_flight_ && "redistribution plan: begin without matching end");
     in_flight_ = true;
-    p.trace().count_op(mpl::Op::kAlltoall);
+    p.trace().count_op(p.rank(), mpl::Op::kAlltoall);
   }
   void mark_end() {
     assert(in_flight_ && "redistribution plan: end without begin");

@@ -23,30 +23,32 @@ std::string op_name(Op op) {
 }
 
 CommTrace::CommTrace(int nranks)
-    : sent_by_rank_(nranks > 0 ? static_cast<std::size_t>(nranks) : 0) {}
+    : blocks_(nranks > 0 ? static_cast<std::size_t>(nranks) : 1),
+      per_rank_(nranks > 0) {}
 
 void CommTrace::reset() {
-  messages_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
-  copies_.store(0, std::memory_order_relaxed);
-  copied_bytes_.store(0, std::memory_order_relaxed);
-  for (auto& c : ops_) c.store(0, std::memory_order_relaxed);
-  for (auto& c : sent_by_rank_) c.store(0, std::memory_order_relaxed);
+  for (auto& b : blocks_) {
+    b.messages.store(0, std::memory_order_relaxed);
+    b.bytes.store(0, std::memory_order_relaxed);
+    b.copies.store(0, std::memory_order_relaxed);
+    b.copied_bytes.store(0, std::memory_order_relaxed);
+    for (auto& c : b.ops) c.store(0, std::memory_order_relaxed);
+  }
 }
 
 TraceSnapshot CommTrace::snapshot() const {
   TraceSnapshot s;
-  s.messages = messages_.load(std::memory_order_relaxed);
-  s.bytes = bytes_.load(std::memory_order_relaxed);
-  s.copies = copies_.load(std::memory_order_relaxed);
-  s.copied_bytes = copied_bytes_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kOpCount; ++i) {
-    s.ops[static_cast<std::size_t>(i)] =
-        ops_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-  }
-  s.sent_bytes_by_rank.reserve(sent_by_rank_.size());
-  for (const auto& c : sent_by_rank_) {
-    s.sent_bytes_by_rank.push_back(c.load(std::memory_order_relaxed));
+  if (per_rank_) s.sent_bytes_by_rank.reserve(blocks_.size());
+  for (const auto& b : blocks_) {
+    const auto bytes = b.bytes.load(std::memory_order_relaxed);
+    s.messages += b.messages.load(std::memory_order_relaxed);
+    s.bytes += bytes;
+    s.copies += b.copies.load(std::memory_order_relaxed);
+    s.copied_bytes += b.copied_bytes.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < s.ops.size(); ++i) {
+      s.ops[i] += b.ops[i].load(std::memory_order_relaxed);
+    }
+    if (per_rank_) s.sent_bytes_by_rank.push_back(bytes);
   }
   return s;
 }

@@ -15,14 +15,19 @@
 // root-bottlenecked collective shows up as one rank sending O(p · n) while
 // the others send nothing.
 //
-// Thread-safety: CommTrace is shared by all ranks of a World; every counter
-// is a relaxed atomic, so count_* calls are thread-safe, wait-free and
-// never block. snapshot() is a non-atomic read of the counters (exact once
-// the ranks have joined); TraceSnapshot is an immutable value type.
+// Thread-safety: CommTrace is shared by all ranks of a World or job, but
+// each rank counts into its own block of relaxed atomics (a rank-indexed
+// count_* call touches only that rank's block), so count_* calls are
+// thread-safe, wait-free, never block, and ranks do not bounce one shared
+// cache line between cores on every send. snapshot() sums the blocks with
+// relaxed loads: exact once the ranks have joined. TraceSnapshot is an
+// immutable value type.
 #pragma once
 
 #include <array>
 #include <atomic>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -69,38 +74,60 @@ struct TraceSnapshot {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Thread-safe counters shared by all ranks of a World. Constructing with a
-/// world size enables per-sender byte accounting.
+/// Thread-safe counters shared by all ranks of a World or job, one counter
+/// block per rank. Constructing with a world size gives one block per rank
+/// and enables per-sender byte accounting (a block's `bytes` is that
+/// sender's logical bytes); a default-constructed trace has one block that
+/// every rank counts into, and reports no per-sender bytes.
 class CommTrace {
  public:
-  CommTrace() = default;
-  explicit CommTrace(int nranks);
+  explicit CommTrace(int nranks = 0);
 
-  void count_message(int source, std::uint64_t payload_bytes) {
-    messages_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-    if (source >= 0 && static_cast<std::size_t>(source) < sent_by_rank_.size()) {
-      sent_by_rank_[static_cast<std::size_t>(source)].fetch_add(
-          payload_bytes, std::memory_order_relaxed);
-    }
+  /// Count one point-to-point message of `payload_bytes` sent by `rank`.
+  void count_message(int rank, std::uint64_t payload_bytes) {
+    Block& b = block(rank);
+    b.messages.fetch_add(1, std::memory_order_relaxed);
+    b.bytes.fetch_add(payload_bytes, std::memory_order_relaxed);
   }
-  void count_copy(std::uint64_t copied) {
-    copies_.fetch_add(1, std::memory_order_relaxed);
-    copied_bytes_.fetch_add(copied, std::memory_order_relaxed);
+  /// Count one pack/unpack memcpy of `copied` bytes done by `rank`.
+  void count_copy(int rank, std::uint64_t copied) {
+    Block& b = block(rank);
+    b.copies.fetch_add(1, std::memory_order_relaxed);
+    b.copied_bytes.fetch_add(copied, std::memory_order_relaxed);
   }
-  void count_op(Op op) {
-    ops_[static_cast<std::size_t>(op)].fetch_add(1, std::memory_order_relaxed);
+  /// Count `rank`'s participation in one collective (or barrier) call.
+  void count_op(int rank, Op op) {
+    block(rank).ops[static_cast<std::size_t>(op)].fetch_add(
+        1, std::memory_order_relaxed);
   }
   void reset();
   [[nodiscard]] TraceSnapshot snapshot() const;
 
  private:
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> copies_{0};
-  std::atomic<std::uint64_t> copied_bytes_{0};
-  std::array<std::atomic<std::uint64_t>, kOpCount> ops_{};
-  std::vector<std::atomic<std::uint64_t>> sent_by_rank_;
+  /// One rank's counters. Padded to a 192-byte stride so the counters of
+  /// two ranks never share a 64-byte cache line, whatever the allocation's
+  /// alignment (112 bytes of counters, then 80 of padding). Deliberately
+  /// not alignas(64): a job allocates its trace, and over-aligned heap
+  /// allocation per job measurably raised peak RSS on a stream of small
+  /// jobs.
+  struct Block {
+    std::atomic<std::uint64_t> messages{0};
+    std::atomic<std::uint64_t> bytes{0};
+    std::atomic<std::uint64_t> copies{0};
+    std::atomic<std::uint64_t> copied_bytes{0};
+    std::array<std::atomic<std::uint64_t>, kOpCount> ops{};
+    std::byte pad[192 - (4 + kOpCount) * sizeof(std::uint64_t)]{};
+  };
+  static_assert(sizeof(Block) == 192, "CommTrace::Block stride");
+
+  Block& block(int rank) noexcept {
+    const auto r = per_rank_ ? static_cast<std::size_t>(rank) : 0;
+    assert(r < blocks_.size());
+    return blocks_[r];
+  }
+
+  std::vector<Block> blocks_;
+  bool per_rank_;  ///< one block per rank (else one shared block)
 };
 
 }  // namespace ppa::mpl

@@ -6,14 +6,21 @@
 //   * halo correctness on padded storage: pack/unpack round trips and a
 //     ghost-width-2 exchange regression (the padded stride must never leak
 //     into the wire format);
+//   * the reduction contract: absdiff_max_row equals a strict forward-order
+//     fold bitwise, NaN and signed zeros included;
 //   * the bitwise-equality battery: for poisson, euler2d, and fdtd3d, the
 //     kernel sweeps must reproduce the legacy per-point sweeps exactly —
 //     at np in {1, 2, 4, 8}, with odd extents, and on block-set drivers
 //     with non-divisible block shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <utility>
 
 #include "apps/cfd/euler2d.hpp"
@@ -232,6 +239,52 @@ TEST(KernelSweeps, TiledJacobiMatchesNaiveAndLegacyBitwise) {
     for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) {
       EXPECT_EQ(out_rows(i, j), out_legacy(i, j)) << i << "," << j;
       EXPECT_EQ(out_tiled(i, j), out_legacy(i, j)) << i << "," << j;
+    }
+  }
+}
+
+// ------------------------------------------- reduction kernel contract --
+
+/// The contract absdiff_max_row keeps: a strict forward-order fold.
+double forward_absdiff_max(const double* a, const double* b, std::ptrdiff_t j0,
+                           std::ptrdiff_t j1, double running) {
+  for (std::ptrdiff_t j = j0; j < j1; ++j) {
+    running = std::max(running, std::abs(a[j] - b[j]));
+  }
+  return running;
+}
+
+TEST(KernelReduction, AbsdiffMaxMatchesForwardOrderBitwise) {
+  // The kernel keeps several running maxima and combines them at the end;
+  // the result must equal the forward fold bit for bit, NaN payloads and
+  // signed zeros included, at every length around the lane count.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  const std::array<double, 12> pool{
+      kNaN,    -kNaN,        0.0, -0.0,  kInf, -kInf,
+      kDenorm, -3 * kDenorm, 1.5, -2.25, 5.0,  1e300};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::mt19937 rng(12345);
+  std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+  std::array<double, 24> a{}, b{};
+  for (std::ptrdiff_t len = 0; len <= 17; ++len) {
+    for (const std::ptrdiff_t j0 : {0, 1, 3}) {
+      for (const double running : {0.0, -0.0, kNaN, 5.0}) {
+        for (int trial = 0; trial < 200; ++trial) {
+          for (std::size_t k = 0; k < a.size(); ++k) {
+            a[k] = pool[pick(rng)];
+            b[k] = pool[pick(rng)];
+          }
+          const auto want = forward_absdiff_max(a.data(), b.data(), j0,
+                                                j0 + len, running);
+          const auto got = mesh::kern::absdiff_max_row(a.data(), b.data(), j0,
+                                                       j0 + len, running);
+          ASSERT_EQ(bits(got), bits(want))
+              << "len=" << len << " j0=" << j0 << " running=" << running
+              << " trial=" << trial;
+        }
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -361,6 +362,37 @@ TEST(GlobalVar, ReplicatedStoreWithVerification) {
     const int value = 40 + 2;  // identical on all ranks
     steps.store_replicated(p, value, /*verify=*/true);
     EXPECT_EQ(static_cast<int>(steps), 42);
+  });
+}
+
+TEST(GlobalVar, VerifiedStoreThrowsOnEveryRankWhenCopiesDiverge) {
+  // The check holds in every build type, and every rank throws: each sees
+  // the same allgather, so none is left waiting for the others.
+  mpl::spmd_run(4, [](mpl::Process& p) {
+    mesh::Global<double> x(0.0);
+    EXPECT_THROW(x.store_replicated(p, p.rank() == 2 ? 1.0 : 0.5,
+                                    /*verify=*/true),
+                 mesh::GlobalDiverged);
+    // A signed zero is a different copy too.
+    EXPECT_THROW(x.store_replicated(p, p.rank() == 0 ? -0.0 : 0.0,
+                                    /*verify=*/true),
+                 mesh::GlobalDiverged);
+    EXPECT_EQ(x.get(), 0.0);  // neither failed store took effect
+  });
+}
+
+TEST(GlobalVar, VerifiedStoreAcceptsIdenticalNaNCopies) {
+  // Copies are compared by bit pattern, so the same NaN on every rank is
+  // consistent (NaN == NaN would call it diverged).
+  mpl::spmd_run(3, [](mpl::Process& p) {
+    mesh::Global<double> x(1.0);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NO_THROW(x.store_replicated(p, nan, /*verify=*/true));
+    EXPECT_TRUE(std::isnan(x.get()));
+    mesh::Global<float> y(1.0f);
+    EXPECT_NO_THROW(y.store_replicated(
+        p, std::numeric_limits<float>::quiet_NaN(), /*verify=*/true));
+    EXPECT_TRUE(std::isnan(y.get()));
   });
 }
 

@@ -3,16 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "mpl/engine.hpp"
 #include "mpl/mailbox.hpp"
 #include "mpl/message.hpp"
 #include "mpl/process.hpp"
 #include "mpl/spmd.hpp"
 #include "mpl/topology.hpp"
+#include "mpl/trace.hpp"
 #include "mpl/world.hpp"
 
 namespace {
@@ -230,6 +233,100 @@ TEST(Spmd, TraceCountsMessagesAndBytes) {
   });
   EXPECT_EQ(trace.messages, 1u);
   EXPECT_EQ(trace.bytes, 16u);
+}
+
+TEST(Trace, PerRankCountersSumToClosedFormsAndRestartPerJob) {
+  // Every rank counts into its own counter block; a snapshot after the job
+  // joins sums them exactly. Rank r sends r+1 messages of r+2 doubles to
+  // its right neighbor, then runs kRounds allreduces and barriers
+  // (recursive doubling at p = 4: 2 sends of one double per allreduce).
+  constexpr int kP = 4;
+  constexpr std::uint64_t kRounds = 5;
+  constexpr std::uint64_t kD = sizeof(double);
+  const auto body = [](Process& p) {
+    const int r = p.rank();
+    const int right = (r + 1) % kP;
+    const int left = (r + kP - 1) % kP;
+    const std::vector<double> msg(static_cast<std::size_t>(r + 2), 1.0 * r);
+    for (int k = 0; k <= r; ++k) p.send(right, 7, msg);
+    for (int k = 0; k <= left; ++k) {
+      EXPECT_EQ(p.recv<double>(left, 7).size(),
+                static_cast<std::size_t>(left + 2));
+    }
+    for (std::uint64_t k = 0; k < kRounds; ++k) {
+      EXPECT_EQ(p.allreduce(1.0, SumOp{}), 1.0 * kP);
+      p.barrier();
+    }
+  };
+  // Rank r's user traffic: r+1 messages of (r+2) doubles.
+  const auto user_bytes = [](std::uint64_t r) { return (r + 1) * (r + 2) * kD; };
+  std::uint64_t messages = 0, bytes = 0, copied = 0;
+  std::vector<std::uint64_t> by_rank;
+  for (std::uint64_t r = 0; r < kP; ++r) {
+    by_rank.push_back(user_bytes(r) + kRounds * 2 * kD);
+    messages += (r + 1) + kRounds * 2;
+    bytes += by_rank.back();
+    copied += 2 * by_rank.back();
+  }
+  // Every message is packed once by its sender and unpacked once by its
+  // receiver.
+  const std::uint64_t copies = 2 * messages;
+
+  Engine engine(kP);
+  for (int job = 0; job < 2; ++job) {  // the second job must start from zero
+    const auto t = engine.run(kP, body);
+    EXPECT_EQ(t.messages, messages) << "job " << job;
+    EXPECT_EQ(t.bytes, bytes) << "job " << job;
+    EXPECT_EQ(t.copies, copies) << "job " << job;
+    EXPECT_EQ(t.copied_bytes, copied) << "job " << job;
+    EXPECT_EQ(t.sent_bytes_by_rank, by_rank) << "job " << job;
+    EXPECT_EQ(t.max_sent_by_any_rank(), by_rank.back()) << "job " << job;
+    for (int o = 0; o < kOpCount; ++o) {
+      const auto op = static_cast<Op>(o);
+      const std::uint64_t want =
+          op == Op::kAllreduce || op == Op::kBarrier ? kP * kRounds : 0;
+      EXPECT_EQ(t.op(op), want) << op_name(op) << " job " << job;
+    }
+  }
+}
+
+TEST(Trace, StandaloneTraceCountsTotalsWithoutPerRankBytes) {
+  CommTrace trace;
+  trace.count_message(0, 16);
+  trace.count_message(3, 8);
+  trace.count_copy(1, 24);
+  trace.count_op(2, Op::kAllreduce);
+  trace.count_op(0, Op::kAllreduce);
+  const auto s = trace.snapshot();
+  EXPECT_EQ(s.messages, 2u);
+  EXPECT_EQ(s.bytes, 24u);
+  EXPECT_EQ(s.copies, 1u);
+  EXPECT_EQ(s.copied_bytes, 24u);
+  EXPECT_EQ(s.op(Op::kAllreduce), 2u);
+  EXPECT_TRUE(s.sent_bytes_by_rank.empty());
+  EXPECT_EQ(s.max_sent_by_any_rank(), 0u);
+}
+
+TEST(Trace, ResetZeroesEveryRankBlock) {
+  // A World's trace is re-armed with reset() at each epoch.
+  CommTrace trace(3);
+  for (int r = 0; r < 3; ++r) {
+    trace.count_message(r, 8u * static_cast<std::uint64_t>(r + 1));
+    trace.count_copy(r, 8);
+    trace.count_op(r, Op::kBarrier);
+  }
+  auto s = trace.snapshot();
+  EXPECT_EQ(s.sent_bytes_by_rank, (std::vector<std::uint64_t>{8, 16, 24}));
+  EXPECT_EQ(s.copies, 3u);
+  EXPECT_EQ(s.op(Op::kBarrier), 3u);
+  trace.reset();
+  s = trace.snapshot();
+  EXPECT_EQ(s.messages, 0u);
+  EXPECT_EQ(s.bytes, 0u);
+  EXPECT_EQ(s.copies, 0u);
+  EXPECT_EQ(s.copied_bytes, 0u);
+  EXPECT_EQ(s.op(Op::kBarrier), 0u);
+  EXPECT_EQ(s.sent_bytes_by_rank, (std::vector<std::uint64_t>{0, 0, 0}));
 }
 
 TEST(Spmd, BarrierSynchronizes) {
