@@ -7,7 +7,8 @@
 //              runtime comparable to process-creation cost, where
 //              amortizing the skeleton is the whole game), and
 //   poisson  — a stream of small Poisson solves through the ported
-//              meshspectral driver (poisson_spmd on an engine).
+//              meshspectral driver (poisson_spmd through a Scheduler over
+//              an explicit engine).
 //
 // Results are written to BENCH_engine.json for cross-PR comparison.
 // Correctness (identical job results cold vs warm) always gates the exit
@@ -15,12 +16,14 @@
 // PPA_BENCH_SMOKE=1 selects a reduced configuration.
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "apps/poisson/poisson.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/microbench.hpp"
 #include "mpl/engine.hpp"
+#include "mpl/scheduler.hpp"
 #include "mpl/spmd.hpp"
 
 namespace {
@@ -150,17 +153,17 @@ int main() {
       iters_cold += app::poisson_spmd(prob, poisson_np).iterations;
     }
   });
-  mpl::Engine poisson_engine(poisson_np);
+  mpl::Scheduler poisson_sched(std::make_shared<mpl::Engine>(poisson_np));
   const double t_poisson_warm = microbench::time_best_of(reps, [&] {
     iters_warm = 0;
     for (int s = 0; s < solves; ++s) {
-      iters_warm += app::poisson_spmd(prob, poisson_engine).iterations;
+      iters_warm += app::poisson_spmd(prob, poisson_sched).iterations;
     }
   });
   if (iters_cold != iters_warm) results_identical = false;
   const double poisson_speedup = t_poisson_cold / t_poisson_warm;
   std::printf("\npoisson stream (%d solves, %zux%zu, np=%d):\n"
-              "  warm-wrapper %.4f s   explicit engine %.4f s   %.2fx\n",
+              "  warm-wrapper %.4f s   explicit scheduler %.4f s   %.2fx\n",
               solves, prob.nx, prob.ny, poisson_np, t_poisson_cold,
               t_poisson_warm, poisson_speedup);
   microbench::Result rp{"engine/poisson_stream", {}};

@@ -12,21 +12,21 @@
 //      set overflows L2, so j-tiling's cache reuse is visible.
 //   3. SoA-vs-AoS A/B: the same single-component stencil over an
 //      8-double/cell AoS grid versus the SoA field's unit-stride plane.
-//   4. Kernel-vs-legacy per-sweep times on the fig15/fig16/fig17 workload
-//      shapes (poisson 1025^2 x 40 iters, euler 384x192 x 20 steps, fdtd
-//      64^3 x 8 steps), and their geometric-mean speedup.
+//   4. Per-sweep times of the apps' kernel sweeps on the fig15/fig16/fig17
+//      workload shapes (poisson 1025^2 x 40 iters, euler 384x192 x 20
+//      steps, fdtd 64^3 x 8 steps).
 //
-// The summary row ("kernels/summary") carries tiled_vs_naive_ratio and
-// geomean_kernel_speedup; ci/build_and_test.sh asserts both stay > 1.0 in
-// the committed BENCH_kernels.json. Bitwise equality of the kernel and
-// legacy paths is pinned separately by tests/test_kernels.cpp — this file
-// only measures.
+// The summary row ("kernels/summary") carries tiled_vs_naive_ratio;
+// ci/build_and_test.sh asserts it stays > 1.0 in the committed
+// BENCH_kernels.json. Bitwise equality of the app sweeps with their
+// per-point oracles is pinned separately by tests/test_kernels.cpp — this
+// file only measures.
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "apps/cfd/euler2d.hpp"
 #include "apps/em/fdtd3d.hpp"
@@ -210,27 +210,17 @@ double bench_soa_vs_aos(microbench::Reporter& rep, bool smoke) {
   return ratio;
 }
 
-// ----------------------------- 4. kernel-vs-legacy on fig workload shapes --
+// ------------------------------------ 4. app sweeps on fig workload shapes --
 
-/// Time `run(mode)` for both sweep modes; report s/sweep and the speedup.
-double bench_app_shape(microbench::Reporter& rep, const std::string& name,
-                       int sweeps, int reps,
-                       const std::function<void(mesh::SweepMode)>& run) {
-  run(mesh::SweepMode::kKernel);  // warm-up (engine threads, allocations)
-  const double sec_kernel = microbench::time_best_of(reps, [&] {
-    run(mesh::SweepMode::kKernel);
-  }) / sweeps;
-  const double sec_legacy = microbench::time_best_of(reps, [&] {
-    run(mesh::SweepMode::kLegacy);
-  }) / sweeps;
-  const double speedup = sec_legacy / sec_kernel;
+/// Time `run()` (one app run of `sweeps` sweeps); report s/sweep.
+void bench_app_shape(microbench::Reporter& rep, const std::string& name,
+                     int sweeps, int reps, const std::function<void()>& run) {
+  run();  // warm-up (engine threads, allocations)
+  const double sec_kernel = microbench::time_best_of(reps, run) / sweeps;
   microbench::Result res;
   res.name = name;
-  res.set("seconds_per_sweep_kernel", sec_kernel)
-      .set("seconds_per_sweep_legacy", sec_legacy)
-      .set("speedup", speedup);
+  res.set("seconds_per_sweep_kernel", sec_kernel);
   rep.add(std::move(res));
-  return speedup;
 }
 
 }  // namespace
@@ -262,32 +252,26 @@ int main() {
   const double tiled_ratio = bench_tiled_vs_naive(reporter, smoke);
   const double soa_ratio = bench_soa_vs_aos(reporter, smoke);
 
-  // 4. Kernel-vs-legacy on the fig15/fig16/fig17 shapes.
-  std::vector<double> speedups;
+  // 4. App sweeps on the fig15/fig16/fig17 shapes.
   {
     app::PoissonProblem prob;
     prob.nx = prob.ny = smoke ? 129 : 1025;
     prob.tolerance = 0.0;
     prob.max_iters = smoke ? 4 : 40;
     prob.g = [](double x, double y) { return x * x - y * y; };
-    speedups.push_back(bench_app_shape(
-        reporter, "kernels/fig15_poisson", static_cast<int>(prob.max_iters),
-        reps, [&](mesh::SweepMode m) {
-          prob.sweep = m;
-          const auto r = app::poisson_spmd(prob, 1);
-          if (r.iterations != prob.max_iters) std::abort();
-        }));
+    bench_app_shape(reporter, "kernels/fig15_poisson",
+                    static_cast<int>(prob.max_iters), reps, [&] {
+                      const auto r = app::poisson_spmd(prob, 1);
+                      if (r.iterations != prob.max_iters) std::abort();
+                    });
   }
   {
     app::CfdConfig cfg;
     cfg.nx = smoke ? 96 : 384;
     cfg.ny = smoke ? 48 : 192;
     const int steps = smoke ? 4 : 20;
-    speedups.push_back(bench_app_shape(
-        reporter, "kernels/fig16_cfd", steps, reps, [&](mesh::SweepMode m) {
-          cfg.sweep = m;
-          (void)app::run_shock_interface(cfg, steps, 1);
-        }));
+    bench_app_shape(reporter, "kernels/fig16_cfd", steps, reps,
+                    [&] { (void)app::run_shock_interface(cfg, steps, 1); });
   }
   {
     app::EmConfig cfg;
@@ -295,27 +279,17 @@ int main() {
     cfg.src_i = cfg.n / 4;
     cfg.src_j = cfg.src_k = cfg.n / 2;
     const int steps = smoke ? 2 : 8;
-    speedups.push_back(bench_app_shape(
-        reporter, "kernels/fig17_em", steps, reps, [&](mesh::SweepMode m) {
-          cfg.sweep = m;
-          (void)app::run_em_scattering(cfg, steps, 1);
-        }));
+    bench_app_shape(reporter, "kernels/fig17_em", steps, reps,
+                    [&] { (void)app::run_em_scattering(cfg, steps, 1); });
   }
-
-  double log_sum = 0.0;
-  for (const double s : speedups) log_sum += std::log(s);
-  const double geomean = std::exp(log_sum / static_cast<double>(speedups.size()));
 
   microbench::Result summary;
   summary.name = "kernels/summary";
   summary.set("tiled_vs_naive_ratio", tiled_ratio)
       .set("soa_vs_aos_ratio", soa_ratio)
-      .set("geomean_kernel_speedup", geomean)
       .set("smoke", smoke ? 1.0 : 0.0);
   reporter.add(std::move(summary));
 
-  std::printf("\nper-sweep geomean speedup (kernel vs legacy, fig shapes): "
-              "%.3fx\n", geomean);
   if (!reporter.write_json("BENCH_kernels.json")) return 1;
   return 0;
 }

@@ -1,22 +1,13 @@
-// Ablation bench for the work-stealing task runtime (core/task.hpp), the
-// two A/Bs the runtime's design rests on:
-//
-//   (a) async-vs-pool — the traditional divide-and-conquer archetype
-//       (Fig 1 mergesort) on the legacy thread-per-fork driver
-//       (dc::divide_and_conquer_async, live forks capped at hardware
-//       concurrency) vs the same recursion forked onto the pool
-//       (dc::divide_and_conquer). Both drivers walk the identical
-//       recursion tree and produce identical output; the difference is
-//       one OS thread spawn per fork vs one deque push per fork.
-//
-//   (b) static-vs-stealing — an imbalanced parfor body under the seed's
-//       static block-partitioned thread-per-call construct (reproduced
-//       below) vs the pool-backed ppa::parfor, which cuts the iteration
-//       space into more chunks than workers and lets idle workers steal.
+// Ablation bench for the work-stealing task runtime (core/task.hpp): the
+// static-vs-stealing A/B the runtime's parfor rests on — an imbalanced
+// parfor body under the seed's static block-partitioned thread-per-call
+// construct (reproduced below) vs the pool-backed ppa::parfor, which cuts
+// the iteration space into more chunks than workers and lets idle workers
+// steal.
 //
 // Results are written to BENCH_taskdc.json for cross-PR comparison; the
-// summary row records the geometric-mean speedup of pool/stealing over the
-// legacy baselines. Correctness (pool results identical to sequential
+// summary row records the geometric-mean speedup of stealing over the
+// static baseline. Correctness (stealing results identical to sequential
 // results) always gates the exit code; the timing verdict gates it only in
 // full mode. PPA_BENCH_SMOKE=1 selects a reduced CI configuration.
 #include <algorithm>
@@ -25,11 +16,9 @@
 #include <thread>
 #include <vector>
 
-#include "apps/sort/sort.hpp"
 #include "bench/bench_common.hpp"
 #include "bench/microbench.hpp"
 #include "core/core.hpp"
-#include "support/rng.hpp"
 
 namespace {
 
@@ -68,8 +57,7 @@ void imbalanced_body(std::vector<double>& out, std::size_t i, std::size_t n) {
 int main() {
   using namespace ppa;
   bench::print_header("Ablation: work-stealing task runtime",
-                      "divide-and-conquer async-vs-pool and parfor "
-                      "static-vs-stealing A/Bs");
+                      "parfor static-vs-stealing A/B");
 
   const bool smoke = microbench::smoke_mode();
   const int reps = smoke ? 3 : 5;
@@ -78,51 +66,7 @@ int main() {
   int speedup_configs = 0;
   bool results_identical = true;
 
-  // --- (a) traditional D&C: thread-per-fork vs pool -------------------------
-  const std::size_t sort_n = smoke ? 60'000 : 200'000;
-  const auto data = random_ints(sort_n, -1000000000, 1000000000, 2026);
-  auto expected = data;
-  std::sort(expected.begin(), expected.end());
-
-  std::printf("\n(a) traditional mergesort, n=%zu: legacy capped std::async "
-              "forks vs pool tasks\n",
-              sort_n);
-  std::printf("    (identical recursion tree; `leaves` = forked base cases)\n");
-  std::printf("  %8s %15s %15s %10s\n", "leaves", "async (s)", "pool (s)",
-              "speedup");
-  const std::vector<int> leaf_counts =
-      smoke ? std::vector<int>{16, 64} : std::vector<int>{8, 32, 128};
-  for (const int leaves : leaf_counts) {
-    // Interleave the two drivers within each repetition cycle (after a
-    // warmup) so host-load drift hits both equally; keep the best of each.
-    (void)app::traditional_mergesort(data, leaves);
-    double t_async = 1e300, t_pool = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      t_async = std::min(t_async, microbench::time_best_of(1, [&] {
-                           auto out = app::traditional_mergesort_async(data, leaves);
-                           if (out != expected) results_identical = false;
-                         }));
-      t_pool = std::min(t_pool, microbench::time_best_of(1, [&] {
-                          auto out = app::traditional_mergesort(data, leaves);
-                          if (out != expected) results_identical = false;
-                        }));
-    }
-    const double speedup = t_async / t_pool;
-    std::printf("  %8d %15.6f %15.6f %9.2fx\n", leaves, t_async, t_pool, speedup);
-    microbench::Result ra{"taskdc/dc_async", {}};
-    ra.set("leaves", leaves).set("n", static_cast<double>(sort_n))
-        .set("seconds_per_op", t_async);
-    reporter.add(std::move(ra));
-    microbench::Result rp{"taskdc/dc_pool", {}};
-    rp.set("leaves", leaves).set("n", static_cast<double>(sort_n))
-        .set("seconds_per_op", t_pool)
-        .set("speedup_vs_async", speedup);
-    reporter.add(std::move(rp));
-    log_speedup_sum += std::log(speedup);
-    ++speedup_configs;
-  }
-
-  // --- (b) imbalanced parfor: static blocks vs pool chunks + stealing -------
+  // --- imbalanced parfor: static blocks vs pool chunks + stealing ----------
   // Two sweep shapes: a coarse one (body work dominates; measures the
   // balance of the partition) and a fine one (many small sweeps, the shape
   // of parfor inside iterative solvers; measures the per-call cost of
@@ -147,7 +91,7 @@ int main() {
     // runtime's design, and the effective width is recorded per row.
     const auto pool_width = static_cast<std::size_t>(
         task::ThreadPool::instance().workers()) + 1;
-    std::printf("\n(b) imbalanced parfor body (first n/8 iterations ~16x the "
+    std::printf("\nimbalanced parfor body (first n/8 iterations ~16x the "
                 "work), %d %s sweeps of n=%zu:\n    static block jthreads "
                 "(seed construct, exactly `workers` threads) vs pool chunks "
                 "+ stealing\n    (pool width capped at %zu on this host)\n",
@@ -205,7 +149,7 @@ int main() {
   // --- summary + JSON ---------------------------------------------------------
   const double geomean =
       speedup_configs > 0 ? std::exp(log_speedup_sum / speedup_configs) : 1.0;
-  std::printf("\n  pool/stealing geomean speedup over the legacy drivers: "
+  std::printf("\n  stealing geomean speedup over the static baseline: "
               "%.3fx (%d configs)\n",
               geomean, speedup_configs);
   microbench::Result summary{"taskdc/summary", {}};
@@ -219,11 +163,10 @@ int main() {
   std::printf("\nShape verdicts:\n");
   bool ok = true;
   ok &= bench::verdict(
-      "pool and async drivers produce results identical to sequential sorts, "
-      "and stealing parfor matches the sequential body",
+      "static and stealing parfor match the sequential body",
       results_identical);
   const bool perf_ok = bench::verdict(
-      "pool/stealing geomean speedup >= 1.0x over thread-per-fork baselines",
+      "stealing geomean speedup >= 1.0x over the static thread-per-call baseline",
       geomean >= 1.0);
   // Timing gates the exit code only in full mode; the smoke configuration
   // (CI, often a loaded box) checks that the harness runs and records.

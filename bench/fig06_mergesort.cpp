@@ -30,15 +30,9 @@ int main() {
         auto out = app::onedeep_mergesort(data, p);
         if (!std::is_sorted(out.begin(), out.end())) std::abort();
       });
-  std::printf("\n[traditional mergesort (pool driver), n=%zu]", n);
+  std::printf("\n[traditional mergesort, n=%zu]", n);
   const auto measured_trad = bench::measure_speedups({1, 2, 4}, 3, [&](int p) {
     auto out = app::traditional_mergesort(data, p);
-    if (!std::is_sorted(out.begin(), out.end())) std::abort();
-  });
-  std::printf("\n[traditional mergesort (legacy thread-per-fork driver), n=%zu]",
-              n);
-  const auto measured_async = bench::measure_speedups({1, 2, 4}, 3, [&](int p) {
-    auto out = app::traditional_mergesort_async(data, p);
     if (!std::is_sorted(out.begin(), out.end())) std::abort();
   });
 
@@ -85,8 +79,5 @@ int main() {
   ok &= bench::verdict(
       "measured: one-deep >= traditional at P=2 on this host",
       bench::at(measured_onedeep, 2) >= 0.9 * bench::at(measured_trad, 2));
-  ok &= bench::verdict(
-      "measured: pool driver keeps up with the legacy async driver at P=4",
-      bench::at(measured_trad, 4) >= 0.85 * bench::at(measured_async, 4));
   return ok ? 0 : 1;
 }

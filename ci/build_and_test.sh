@@ -127,9 +127,10 @@ awk '
 ' BENCH_faults.json
 
 # The committed kernel-layer record (measured full-mode; smoke numbers are
-# too noisy to gate on) must show the layout-aware paths actually winning:
-# column tiling beats the naive sweep on the L2-overflow shape, and the
-# kernel sweeps beat the legacy per-point loops on the fig15/16/17 shapes.
+# too noisy to gate on) must show the layout-aware path actually winning:
+# column tiling beats the naive sweep on the L2-overflow shape. The apps'
+# kernel sweeps have no second path to race; the repository benchmark's
+# mesh_bandwidth workload times them end to end.
 echo "==> kernel-layer record (committed BENCH_kernels.json)"
 awk '
   /"name": "kernels\/summary"/ {
@@ -141,14 +142,6 @@ awk '
         exit 1
       }
       printf "committed tiled-vs-naive ratio: %.3fx (> 1.0x required)\n", ratio
-    }
-    if (match($0, /"geomean_kernel_speedup": [0-9.]+/)) {
-      sp = substr($0, RSTART + 26, RLENGTH - 26) + 0
-      if (sp <= 1.0) {
-        printf "committed kernel-vs-legacy geomean %.3fx is not > 1.0x\n", sp
-        exit 1
-      }
-      printf "committed kernel-vs-legacy geomean: %.3fx (> 1.0x required)\n", sp
     }
   }
   END { if (!found) { print "no kernels/summary row in BENCH_kernels.json"; exit 1 } }

@@ -1,8 +1,8 @@
 // ci/core_warning_check.cpp
 //
 // Warning canary for the archetype core: this translation unit includes
-// every public core header (task runtime, parfor, both divide-and-conquer
-// drivers, the one-deep skeleton, branch and bound, the streaming pipeline)
+// every public core header (task runtime, parfor, the divide-and-conquer
+// driver, the one-deep skeleton, branch and bound, the streaming pipeline)
 // and the typed composition layer, instantiates the templates with
 // representative types, and is compiled
 // with -Wall -Wextra -Werror (see CMakeLists.txt). Any warning introduced
@@ -77,8 +77,6 @@ static_assert(bnb::Spec<CanaryBnbSpec>);
   const auto merge = [](std::vector<long> sols) { return sols[0] + sols[1]; };
   (void)dc::divide_and_conquer<std::vector<long>, long>(
       {}, is_base, base, split, merge, 2);
-  (void)dc::divide_and_conquer_async<std::vector<long>, long>(
-      {}, is_base, base, split, merge, 2);
   (void)dc::fork_depth_for(8);
 
   CanaryOneDeepSpec od;
@@ -135,8 +133,7 @@ static_assert(bnb::Spec<CanaryBnbSpec>);
 }
 
 /// Force-instantiate the persistent-engine API (never executed): job
-/// submission, the engine-backed archetype drivers, and the recyclable tag
-/// allocator.
+/// submission and the recyclable tag allocator.
 [[maybe_unused]] void instantiate_engine(mpl::Engine& engine) {
   (void)engine.width();
   (void)engine.jobs_run();
@@ -149,23 +146,6 @@ static_assert(bnb::Spec<CanaryBnbSpec>);
     (void)block.count();
     (void)engine.world().tag_space().outstanding();
   }
-
-  CanaryOneDeepSpec od;
-  (void)onedeep::run_engine(od, engine,
-                            onedeep::block_distribute(std::vector<int>{1}, 1));
-
-  CanaryBnbSpec bb;
-  bnb::ProcessStats stats;
-  (void)bnb::solve_engine(bb, engine, CanaryBnbSpec::Node{}, 1, 8, 2, &stats);
-
-  long total = 0;
-  long next = 0;
-  auto plan = pipeline::source([next]() mutable -> std::optional<long> {
-                return next < 4 ? std::optional<long>(next++) : std::nullopt;
-              }) |
-              pipeline::stage([](long v) { return v + 1; }) |
-              pipeline::sink([&total](long v) { total += v; });
-  (void)plan.run_engine(engine, pipeline::default_config());
 }
 
 /// Force-instantiate the space-sharing serving layer (never executed): the
@@ -179,6 +159,10 @@ static_assert(bnb::Spec<CanaryBnbSpec>);
   mpl::TraceSnapshot snapshot;
   (void)scheduler.try_run_job(1, [](mpl::Process&) {}, snapshot);
   (void)mpl::process_scheduler(1);
+
+  CanaryOneDeepSpec od;
+  (void)onedeep::run_engine(od, scheduler,
+                            onedeep::block_distribute(std::vector<int>{1}, 1));
 
   CanaryBnbSpec bb;
   bnb::ProcessStats stats;

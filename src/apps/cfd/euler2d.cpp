@@ -63,30 +63,12 @@ EulerState rusanov_y(const EulerState& l, const EulerState& r, double gamma) {
           0.5 * (fl.E + fr.E) - 0.5 * smax * (r.E - l.E)};
 }
 
-/// Flux-differenced update of one cell: reads the 5-point neighborhood of
-/// `u`, writes `unew` (the legacy per-point sweep).
-void flux_update_cell(const mesh::Grid2D<EulerState>& u,
-                      mesh::Grid2D<EulerState>& unew, double gamma,
-                      std::ptrdiff_t i, std::ptrdiff_t j, double cx,
-                      double cy) {
-  const EulerState fxm = rusanov_x(u(i - 1, j), u(i, j), gamma);
-  const EulerState fxp = rusanov_x(u(i, j), u(i + 1, j), gamma);
-  const EulerState fym = rusanov_y(u(i, j - 1), u(i, j), gamma);
-  const EulerState fyp = rusanov_y(u(i, j), u(i, j + 1), gamma);
-  EulerState s = u(i, j);
-  s = axpy(s, fxp, -cx);
-  s = axpy(s, fxm, +cx);
-  s = axpy(s, fyp, -cy);
-  s = axpy(s, fym, +cy);
-  unew(i, j) = s;
-}
-
-/// One row of the flux-differenced update with the row base pointers
-/// hoisted and the y-face flux carried across the row (fym of cell j+1 is
-/// fyp of cell j — the Rusanov flux is a pure function of its two states,
-/// so the carry is bitwise-identical to recomputing while saving a quarter
-/// of the flux evaluations). Per-cell expression and axpy order match
-/// flux_update_cell exactly.
+/// One row of the flux-differenced update: each cell reads its 5-point
+/// neighborhood of `u` and writes `unew`. The row base pointers are hoisted
+/// and the y-face flux is carried across the row (fym of cell j+1 is fyp of
+/// cell j — the Rusanov flux is a pure function of its two states, so the
+/// carry is bitwise-identical to recomputing while saving a quarter of the
+/// flux evaluations).
 void flux_update_row(const mesh::Grid2D<EulerState>& u,
                      mesh::Grid2D<EulerState>& unew, double gamma,
                      std::ptrdiff_t i, std::ptrdiff_t j0, std::ptrdiff_t j1,
@@ -242,25 +224,14 @@ double CfdSim::step() {
     auto& ng = unew_.block(b).grid();
     const mesh::Region2 all = mesh::interior_region(ug);
     const mesh::Region2 core = mesh::core_region(ug, 1, all);
-    if (cfg_.sweep == mesh::SweepMode::kKernel) {
-      const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                            std::ptrdiff_t j1) {
-        flux_update_row(ug, ng, cfg_.gamma, i, j0, j1, cx, cy);
-      };
-      if (rim) {
-        mesh::kern::sweep_rim_rows(all, core, rows);
-      } else {
-        mesh::kern::sweep_rows(core, rows);
-      }
+    const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
+                          std::ptrdiff_t j1) {
+      flux_update_row(ug, ng, cfg_.gamma, i, j0, j1, cx, cy);
+    };
+    if (rim) {
+      mesh::kern::sweep_rim_rows(all, core, rows);
     } else {
-      const auto cell = [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-        flux_update_cell(ug, ng, cfg_.gamma, i, j, cx, cy);
-      };
-      if (rim) {
-        mesh::for_rim(all, core, cell);
-      } else {
-        mesh::for_region(core, cell);
-      }
+      mesh::kern::sweep_rows(core, rows);
     }
   };
   for (std::size_t b = 0; b < u_.size(); ++b) sweep(b, /*rim=*/false);

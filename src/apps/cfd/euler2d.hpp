@@ -78,11 +78,6 @@ struct CfdConfig {
   /// true: fully periodic box (conservation testing); false: inflow at x=0
   /// (post-shock state), outflow at x=lx, periodic in y (the scenario).
   bool periodic_x = false;
-
-  /// Sweep implementation: row kernels with hoisted row pointers and a
-  /// y-face flux carry (kernels.hpp) or the legacy per-point loops.
-  /// Bitwise-identical results either way (pinned by tests).
-  mesh::SweepMode sweep = mesh::SweepMode::kKernel;
 };
 
 /// Post-shock primitive state from the Rankine–Hugoniot relations for a
@@ -160,6 +155,9 @@ class CfdSim {
 
 /// Same scenario as one warm job on a persistent engine (`nprocs` defaults
 /// to the engine width); back-to-back runs reuse the engine's rank threads.
+/// The one app driver still taking an engine: the repository benchmark's
+/// mesh_bandwidth workload (bench/ppa_bench) runs the scenario directly on
+/// its engine. Every other driver submits through an mpl::Scheduler.
 [[nodiscard]] Array2D<double> run_shock_interface(const CfdConfig& cfg, int steps,
                                                   mpl::Engine& engine,
                                                   int nprocs = 0);

@@ -30,7 +30,6 @@ mesh::ExchangePlan3D::Options field_plan(int tag_block) {
 
 FdtdSim::FdtdSim(mpl::Process& p, const mpl::CartGrid3D& pgrid, const EmConfig& cfg)
     : p_(p),
-      pgrid_(pgrid),
       cfg_(cfg),
       dt_(cfg.courant / std::sqrt(3.0)),
       ex_(cfg.n, cfg.n, cfg.n, pgrid, p.rank(), 1),
@@ -81,37 +80,14 @@ void FdtdSim::end_exchange_h() {
   plan_hz_.end_exchange(p_, hz_);
 }
 
-void FdtdSim::update_h_at(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k) {
-  // H -= dt * curl E; reads E at +1 neighbors. Ghosts at the global
-  // boundary are zero (never written), consistent with PEC walls.
-  hx_(i, j, k) += dt_ * ((ey_(i, j, k + 1) - ey_(i, j, k)) -
-                         (ez_(i, j + 1, k) - ez_(i, j, k)));
-  hy_(i, j, k) += dt_ * ((ez_(i + 1, j, k) - ez_(i, j, k)) -
-                         (ex_(i, j, k + 1) - ex_(i, j, k)));
-  hz_(i, j, k) += dt_ * ((ex_(i, j + 1, k) - ex_(i, j, k)) -
-                         (ey_(i + 1, j, k) - ey_(i, j, k)));
-}
-
-void FdtdSim::update_e_at(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k) {
-  // E += dt/eps * curl H; reads H at -1 neighbors.
-  ex_(i, j, k) += dt_ * inv_eps_(i, j, k) *
-                  ((hz_(i, j, k) - hz_(i, j - 1, k)) -
-                   (hy_(i, j, k) - hy_(i, j, k - 1)));
-  ey_(i, j, k) += dt_ * inv_eps_(i, j, k) *
-                  ((hx_(i, j, k) - hx_(i, j, k - 1)) -
-                   (hz_(i, j, k) - hz_(i - 1, j, k)));
-  ez_(i, j, k) += dt_ * inv_eps_(i, j, k) *
-                  ((hy_(i, j, k) - hy_(i - 1, j, k)) -
-                   (hx_(i, j, k) - hx_(i, j - 1, k)));
-}
-
 void FdtdSim::update_h_pencil(std::ptrdiff_t i, std::ptrdiff_t j,
                               std::ptrdiff_t k0, std::ptrdiff_t k1) {
-  // Pencil form of update_h_at: base pointers hoisted once per (i, j),
-  // then three unit-stride k loops over raw pointers. Each H component's
-  // update reads only E, so splitting the per-point triple into
-  // per-component loops cannot change any computed value; the per-element
-  // expressions are identical to update_h_at.
+  // H -= dt * curl E; reads E at +1 neighbors. Ghosts at the global
+  // boundary are zero (never written), consistent with PEC walls. Base
+  // pointers are hoisted once per (i, j), then three unit-stride k loops
+  // run over raw pointers. Each H component's update reads only E, so
+  // splitting the per-point triple into per-component loops cannot change
+  // any computed value.
   double* PPA_RESTRICT hx = hx_.pencil(i, j);
   double* PPA_RESTRICT hy = hy_.pencil(i, j);
   double* PPA_RESTRICT hz = hz_.pencil(i, j);
@@ -136,7 +112,8 @@ void FdtdSim::update_h_pencil(std::ptrdiff_t i, std::ptrdiff_t j,
 
 void FdtdSim::update_e_pencil(std::ptrdiff_t i, std::ptrdiff_t j,
                               std::ptrdiff_t k0, std::ptrdiff_t k1) {
-  // Pencil form of update_e_at (E reads only H and the material map).
+  // E += dt/eps * curl H; reads H at -1 neighbors (and the material map
+  // only), so the per-component split is exact here too.
   double* PPA_RESTRICT ex = ex_.pencil(i, j);
   double* PPA_RESTRICT ey = ey_.pencil(i, j);
   double* PPA_RESTRICT ez = ez_.pencil(i, j);
@@ -161,60 +138,35 @@ void FdtdSim::update_e_pencil(std::ptrdiff_t i, std::ptrdiff_t j,
 }
 
 void FdtdSim::update_h(const mesh::Region3& r) {
-  if (cfg_.sweep == mesh::SweepMode::kKernel) {
-    mesh::kern::sweep_pencils(r, [&](std::ptrdiff_t i, std::ptrdiff_t j,
-                                     std::ptrdiff_t k0, std::ptrdiff_t k1) {
-      update_h_pencil(i, j, k0, k1);
-    });
-    return;
-  }
-  mesh::for_region(r, [&](std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k) {
-    update_h_at(i, j, k);
+  mesh::kern::sweep_pencils(r, [&](std::ptrdiff_t i, std::ptrdiff_t j,
+                                   std::ptrdiff_t k0, std::ptrdiff_t k1) {
+    update_h_pencil(i, j, k0, k1);
   });
 }
 
 void FdtdSim::update_e(const mesh::Region3& r) {
-  if (cfg_.sweep == mesh::SweepMode::kKernel) {
-    mesh::kern::sweep_pencils(r, [&](std::ptrdiff_t i, std::ptrdiff_t j,
-                                     std::ptrdiff_t k0, std::ptrdiff_t k1) {
-      update_e_pencil(i, j, k0, k1);
-    });
-    return;
-  }
-  mesh::for_region(r, [&](std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k) {
-    update_e_at(i, j, k);
+  mesh::kern::sweep_pencils(r, [&](std::ptrdiff_t i, std::ptrdiff_t j,
+                                   std::ptrdiff_t k0, std::ptrdiff_t k1) {
+    update_e_pencil(i, j, k0, k1);
   });
 }
 
 void FdtdSim::update_h_rim(const mesh::Region3& all, const mesh::Region3& core) {
-  if (cfg_.sweep == mesh::SweepMode::kKernel) {
-    mesh::kern::sweep_rim_pencils(
-        all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k0,
-                       std::ptrdiff_t k1) { update_h_pencil(i, j, k0, k1); });
-    return;
-  }
-  mesh::for_rim(all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j,
-                               std::ptrdiff_t k) { update_h_at(i, j, k); });
+  mesh::kern::sweep_rim_pencils(
+      all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k0,
+                     std::ptrdiff_t k1) { update_h_pencil(i, j, k0, k1); });
 }
 
 void FdtdSim::update_e_rim(const mesh::Region3& all, const mesh::Region3& core) {
-  if (cfg_.sweep == mesh::SweepMode::kKernel) {
-    mesh::kern::sweep_rim_pencils(
-        all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k0,
-                       std::ptrdiff_t k1) { update_e_pencil(i, j, k0, k1); });
-    return;
-  }
-  mesh::for_rim(all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j,
-                               std::ptrdiff_t k) { update_e_at(i, j, k); });
+  mesh::kern::sweep_rim_pencils(
+      all, core, [&](std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k0,
+                     std::ptrdiff_t k1) { update_e_pencil(i, j, k0, k1); });
 }
 
 void FdtdSim::apply_pec() {
   // Tangential E = 0 on the global boundary faces.
   const auto n = cfg_.n;
-  const auto zero_face = [n](mesh::Grid3D<double>& g, int axis, bool tangential_a,
-                             bool tangential_b) {
-    (void)tangential_a;
-    (void)tangential_b;
+  const auto zero_face = [n](mesh::Grid3D<double>& g, int axis) {
     const auto nx = static_cast<std::ptrdiff_t>(g.nx());
     const auto ny = static_cast<std::ptrdiff_t>(g.ny());
     const auto nz = static_cast<std::ptrdiff_t>(g.nz());
@@ -248,12 +200,12 @@ void FdtdSim::apply_pec() {
     }
   };
   // Ey, Ez tangential at x faces; Ex, Ez at y faces; Ex, Ey at z faces.
-  zero_face(ey_, 0, true, true);
-  zero_face(ez_, 0, true, true);
-  zero_face(ex_, 1, true, true);
-  zero_face(ez_, 1, true, true);
-  zero_face(ex_, 2, true, true);
-  zero_face(ey_, 2, true, true);
+  zero_face(ey_, 0);
+  zero_face(ez_, 0);
+  zero_face(ex_, 1);
+  zero_face(ez_, 1);
+  zero_face(ex_, 2);
+  zero_face(ey_, 2);
 }
 
 void FdtdSim::step() {
@@ -386,20 +338,6 @@ Array2D<double> run_em_scattering(const EmConfig& cfg, int steps, int nprocs) {
   const auto pgrid = mpl::CartGrid3D::near_cubic(nprocs);
   Array2D<double> plane;
   mpl::spmd_run(nprocs, [&](mpl::Process& p) {
-    FdtdSim sim(p, pgrid, cfg);
-    sim.run(steps);
-    auto ez = sim.gather_ez_plane(0);
-    if (p.rank() == 0) plane = std::move(ez);
-  });
-  return plane;
-}
-
-Array2D<double> run_em_scattering(const EmConfig& cfg, int steps,
-                                  mpl::Engine& engine, int nprocs) {
-  if (nprocs <= 0) nprocs = engine.width();
-  const auto pgrid = mpl::CartGrid3D::near_cubic(nprocs);
-  Array2D<double> plane;
-  engine.run(nprocs, [&](mpl::Process& p) {
     FdtdSim sim(p, pgrid, cfg);
     sim.run(steps);
     auto ez = sim.gather_ez_plane(0);

@@ -50,10 +50,6 @@ struct EmConfig {
   double source_period = 20.0; ///< steps per source oscillation
   /// Source location (cell indices); defaults to the x=n/4 plane center.
   std::size_t src_i = 8, src_j = 16, src_k = 16;
-  /// Sweep implementation: unit-stride z-pencil kernels over raw pointers
-  /// (kernels.hpp) or the legacy per-point loops. Bitwise-identical results
-  /// either way (pinned by tests).
-  mesh::SweepMode sweep = mesh::SweepMode::kKernel;
 };
 
 class FdtdSim {
@@ -84,8 +80,6 @@ class FdtdSim {
   [[nodiscard]] const EmConfig& config() const { return cfg_; }
 
  private:
-  void update_h_at(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k);
-  void update_e_at(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k);
   void update_h_pencil(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k0,
                        std::ptrdiff_t k1);
   void update_e_pencil(std::ptrdiff_t i, std::ptrdiff_t j, std::ptrdiff_t k0,
@@ -101,7 +95,6 @@ class FdtdSim {
   void end_exchange_h();
 
   mpl::Process& p_;
-  const mpl::CartGrid3D& pgrid_;
   EmConfig cfg_;
   double dt_;
   int steps_ = 0;
@@ -118,11 +111,5 @@ class FdtdSim {
 /// midplane on rank 0.
 [[nodiscard]] Array2D<double> run_em_scattering(const EmConfig& cfg, int steps,
                                                 int nprocs);
-
-/// Same scenario as one warm job on a persistent engine (`nprocs` defaults
-/// to the engine width); back-to-back runs reuse the engine's rank threads.
-[[nodiscard]] Array2D<double> run_em_scattering(const EmConfig& cfg, int steps,
-                                                mpl::Engine& engine,
-                                                int nprocs = 0);
 
 }  // namespace ppa::app

@@ -151,52 +151,19 @@ PoissonResult poisson_process(mpl::Process& p, const mesh::BlockLayout2D& layout
   while (diffmax.get() > prob.tolerance && result.iterations < prob.max_iters) {
     plan.begin_exchange_all(p, uk);
     for (std::size_t b = 0; b < uk.size(); ++b) {
-      if (prob.sweep == mesh::SweepMode::kKernel) {
-        jacobi_block_rows(b, core[b], /*tiled=*/true);
-        continue;
-      }
-      auto& ukg = uk.block(b).grid();
-      auto& ukpg = ukp.block(b).grid();
-      auto& fvg = fv.block(b).grid();
-      mesh::for_region(core[b], [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-        ukpg(i, j) = (ukg(i - 1, j) + ukg(i + 1, j) + ukg(i, j - 1) +
-                      ukg(i, j + 1) - h * h * fvg(i, j)) *
-                     0.25;
-      });
+      jacobi_block_rows(b, core[b], /*tiled=*/true);
     }
     plan.end_exchange_all(p, uk);
     for (std::size_t b = 0; b < uk.size(); ++b) {
-      if (prob.sweep == mesh::SweepMode::kKernel) {
-        jacobi_block_rows(b, update[b], /*tiled=*/false);
-        continue;
-      }
-      auto& ukg = uk.block(b).grid();
-      auto& ukpg = ukp.block(b).grid();
-      auto& fvg = fv.block(b).grid();
-      mesh::for_rim(update[b], core[b], [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-        ukpg(i, j) = (ukg(i - 1, j) + ukg(i + 1, j) + ukg(i, j - 1) +
-                      ukg(i, j + 1) - h * h * fvg(i, j)) *
-                     0.25;
-      });
+      jacobi_block_rows(b, update[b], /*tiled=*/false);
     }
 
     double local_diffmax = 0.0;
     for (std::size_t b = 0; b < uk.size(); ++b) {
-      auto& ukg = uk.block(b).grid();
-      auto& ukpg = ukp.block(b).grid();
-      const auto& u = update[b];
-      if (prob.sweep == mesh::SweepMode::kKernel) {
-        local_diffmax = absdiff_max(mesh::field_view(std::as_const(ukpg)),
-                                    mesh::field_view(std::as_const(ukg)), u,
-                                    local_diffmax);
-        continue;
-      }
-      for (std::ptrdiff_t i = u.i0; i < u.i1; ++i) {
-        for (std::ptrdiff_t j = u.j0; j < u.j1; ++j) {
-          local_diffmax =
-              std::max(local_diffmax, std::abs(ukpg(i, j) - ukg(i, j)));
-        }
-      }
+      local_diffmax = absdiff_max(
+          mesh::field_view(std::as_const(ukp.block(b).grid())),
+          mesh::field_view(std::as_const(uk.block(b).grid())), update[b],
+          local_diffmax);
     }
     diffmax.store_replicated(p, p.allreduce(local_diffmax, mpl::MaxOp{}));
 
@@ -228,21 +195,6 @@ PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs,
     auto local = poisson_process(p, layout, owner, prob);
     if (p.rank() == 0) result = std::move(local);
   });
-  return result;
-}
-
-PoissonResult poisson_spmd(const PoissonProblem& prob, mpl::Engine& engine,
-                           int nprocs, const mpl::JobOptions& options) {
-  if (nprocs <= 0) nprocs = engine.width();
-  const auto pgrid = mpl::CartGrid2D::near_square(nprocs);
-  PoissonResult result;
-  engine.run(
-      nprocs,
-      [&](mpl::Process& p) {
-        auto local = poisson_process(p, pgrid, prob);
-        if (p.rank() == 0) result = std::move(local);
-      },
-      options);
   return result;
 }
 

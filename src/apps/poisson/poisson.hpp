@@ -46,10 +46,6 @@ struct PoissonProblem {
   /// unit square (x = i/(nx-1), y = j/(ny-1)).
   std::function<double(double, double)> f = [](double, double) { return 0.0; };
   std::function<double(double, double)> g = [](double, double) { return 0.0; };
-  /// Sweep implementation: tiled row kernels (kernels.hpp) or the legacy
-  /// per-point loops. Bitwise-identical results either way (pinned by
-  /// tests/test_kernels.cpp); the kernel path is simply faster.
-  mesh::SweepMode sweep = mesh::SweepMode::kKernel;
 };
 
 struct PoissonResult {
@@ -85,18 +81,13 @@ struct PoissonResult {
 [[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob, int nprocs,
                                          const mesh::BlockConfig& config = {});
 
-/// Version 2 on a persistent engine: one warm SPMD job per call (`nprocs`
-/// defaults to the engine width). A stream of solves on one engine reuses
-/// rank threads and mailbox lanes instead of respawning per problem.
-/// `options` attaches a per-job deadline / cancel token / watchdog (job.hpp).
-[[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob,
-                                         mpl::Engine& engine, int nprocs = 0,
-                                         const mpl::JobOptions& options = {});
-
-/// Version 2 through a space-sharing Scheduler (mpl/scheduler.hpp): a
-/// narrow solve runs concurrently with other narrow jobs on a wide engine,
+/// Version 2 through a space-sharing Scheduler (mpl/scheduler.hpp): one
+/// warm SPMD job per call, so a stream of solves reuses the engine's rank
+/// threads and mailbox lanes instead of respawning per problem. A narrow
+/// solve runs concurrently with other narrow jobs on a wide engine,
 /// queueing (priority-ordered, bounded) when ranks are busy. `nprocs`
-/// defaults to the scheduler's full width; a deadline counts from
+/// defaults to the scheduler's full width. `options` attaches a per-job
+/// deadline / cancel token / watchdog (job.hpp); a deadline counts from
 /// submission, queueing time included.
 [[nodiscard]] PoissonResult poisson_spmd(const PoissonProblem& prob,
                                          mpl::Scheduler& scheduler,

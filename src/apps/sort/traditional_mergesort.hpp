@@ -6,13 +6,11 @@
 // every split/merge level passes over all the data, and the concurrency
 // profile is a tree (maximum parallelism only during the leaf solves).
 //
-// The default driver forks onto the work-stealing pool
-// (dc::divide_and_conquer); traditional_mergesort_async keeps the paper's
-// literal process-per-split execution (dc::divide_and_conquer_async) as the
-// measured baseline for bench/ablation_taskdc.cpp. Both produce output
-// identical to a sequential merge sort.
+// The recursion forks onto the work-stealing pool (dc::divide_and_conquer)
+// and produces output identical to a sequential merge sort.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -24,71 +22,36 @@
 
 namespace ppa::app {
 
-namespace detail {
-
-/// The shared mergesort spec slots: split at the midpoint, merge_sort at
-/// leaves no larger than data.size() / 2^depth, two-way merge upward.
-template <typename T, typename Compare>
-struct MergesortSpec {
-  std::size_t base_size;
-  Compare cmp;
-
-  [[nodiscard]] bool is_base(const std::vector<T>& p) const {
-    return p.size() <= base_size;
-  }
-  [[nodiscard]] std::vector<T> base(std::vector<T> p) const {
-    algo::merge_sort(p, cmp);
-    return p;
-  }
-  [[nodiscard]] std::vector<std::vector<T>> split(std::vector<T> p) const {
-    const auto mid = static_cast<std::ptrdiff_t>(p.size() / 2);
-    std::vector<std::vector<T>> subs(2);
-    subs[0].assign(p.begin(), p.begin() + mid);
-    subs[1].assign(p.begin() + mid, p.end());
-    return subs;
-  }
-  [[nodiscard]] std::vector<T> merge(std::vector<std::vector<T>> sols) const {
-    std::vector<T> out;
-    algo::merge_two(std::span<const T>(sols[0]), std::span<const T>(sols[1]),
-                    out, cmp);
-    return out;
-  }
-};
-
-}  // namespace detail
-
 /// Sort by traditional fork-join divide and conquer using `nprocs` leaves,
-/// forked onto the work-stealing pool.
+/// forked onto the work-stealing pool: split at the midpoint, merge_sort at
+/// leaves no larger than data.size() / 2^depth, two-way merge upward.
 template <typename T, typename Compare = std::less<T>>
 std::vector<T> traditional_mergesort(std::vector<T> data, int nprocs,
                                      Compare cmp = {}) {
   if (data.size() <= 1) return data;
   const int depth = dc::fork_depth_for(nprocs);
-  const detail::MergesortSpec<T, Compare> spec{
-      std::max<std::size_t>(1, data.size() >> static_cast<unsigned>(depth)), cmp};
+  const std::size_t base_size =
+      std::max<std::size_t>(1, data.size() >> static_cast<unsigned>(depth));
   return dc::divide_and_conquer<std::vector<T>, std::vector<T>>(
       std::move(data),
-      [&spec](const std::vector<T>& p) { return spec.is_base(p); },
-      [&spec](std::vector<T> p) { return spec.base(std::move(p)); },
-      [&spec](std::vector<T> p) { return spec.split(std::move(p)); },
-      [&spec](std::vector<std::vector<T>> s) { return spec.merge(std::move(s)); },
-      depth);
-}
-
-/// The same sort on the legacy thread-per-fork driver (bench baseline).
-template <typename T, typename Compare = std::less<T>>
-std::vector<T> traditional_mergesort_async(std::vector<T> data, int nprocs,
-                                           Compare cmp = {}) {
-  if (data.size() <= 1) return data;
-  const int depth = dc::fork_depth_for(nprocs);
-  const detail::MergesortSpec<T, Compare> spec{
-      std::max<std::size_t>(1, data.size() >> static_cast<unsigned>(depth)), cmp};
-  return dc::divide_and_conquer_async<std::vector<T>, std::vector<T>>(
-      std::move(data),
-      [&spec](const std::vector<T>& p) { return spec.is_base(p); },
-      [&spec](std::vector<T> p) { return spec.base(std::move(p)); },
-      [&spec](std::vector<T> p) { return spec.split(std::move(p)); },
-      [&spec](std::vector<std::vector<T>> s) { return spec.merge(std::move(s)); },
+      [base_size](const std::vector<T>& p) { return p.size() <= base_size; },
+      [&cmp](std::vector<T> p) {
+        algo::merge_sort(p, cmp);
+        return p;
+      },
+      [](std::vector<T> p) {
+        const auto mid = static_cast<std::ptrdiff_t>(p.size() / 2);
+        std::vector<std::vector<T>> subs(2);
+        subs[0].assign(p.begin(), p.begin() + mid);
+        subs[1].assign(p.begin() + mid, p.end());
+        return subs;
+      },
+      [&cmp](std::vector<std::vector<T>> sols) {
+        std::vector<T> out;
+        algo::merge_two(std::span<const T>(sols[0]), std::span<const T>(sols[1]),
+                        out, cmp);
+        return out;
+      },
       depth);
 }
 

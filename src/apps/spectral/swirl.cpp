@@ -176,18 +176,4 @@ Array2D<double> run_swirl(const SwirlConfig& cfg, int steps, int nprocs) {
   return field;
 }
 
-Array2D<double> run_swirl(const SwirlConfig& cfg, int steps, mpl::Engine& engine,
-                          int nprocs) {
-  if (nprocs <= 0) nprocs = engine.width();
-  Array2D<double> field;
-  engine.run(nprocs, [&](mpl::Process& p) {
-    SwirlSim sim(p, cfg);
-    sim.init_jet();
-    sim.run(steps);
-    auto f = sim.gather_field(0);
-    if (p.rank() == 0) field = std::move(f);
-  });
-  return field;
-}
-
 }  // namespace ppa::app

@@ -100,9 +100,4 @@ class SwirlSim {
 [[nodiscard]] Array2D<double> run_swirl(const SwirlConfig& cfg, int steps,
                                         int nprocs);
 
-/// Same scenario as one warm job on a persistent engine (`nprocs` defaults
-/// to the engine width); back-to-back runs reuse the engine's rank threads.
-[[nodiscard]] Array2D<double> run_swirl(const SwirlConfig& cfg, int steps,
-                                        mpl::Engine& engine, int nprocs = 0);
-
 }  // namespace ppa::app

@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "core/task.hpp"
-#include "mpl/engine.hpp"
 #include "mpl/scheduler.hpp"
 #include "mpl/process.hpp"
 
@@ -392,40 +391,13 @@ double solve_process(S& spec, mpl::Process& p, typename S::node_type root,
   return incumbent;
 }
 
-/// Whole-problem driver on a persistent engine: submits solve_process as
-/// one job over `nprocs` warm ranks (engine width by default) and returns
-/// the global minimum. A stream of solves on one engine reuses rank
-/// threads and mailbox lanes instead of respawning per problem.
-template <Spec S>
-double solve_engine(S& spec, mpl::Engine& engine, typename S::node_type root,
-                    int nprocs = 0, std::size_t chunk = 512,
-                    std::size_t seed_factor = 4, ProcessStats* stats = nullptr,
-                    const mpl::JobOptions& options = {}) {
-  if (nprocs <= 0) nprocs = engine.width();
-  double best = kInfinity;
-  ProcessStats job_stats{};
-  engine.run(
-      nprocs,
-      [&](mpl::Process& p) {
-        ProcessStats local{};
-        const double incumbent = solve_process(
-            spec, p, root, chunk, seed_factor, stats != nullptr ? &local : nullptr);
-        // Every rank computes the same incumbent; rank 0's copy (and stats,
-        // which are symmetric across ranks) become the job result.
-        if (p.rank() == 0) {
-          best = incumbent;
-          job_stats = local;
-        }
-      },
-      options);
-  if (stats != nullptr) *stats = job_stats;
-  return best;
-}
-
-/// Same, through a space-sharing Scheduler (mpl/scheduler.hpp): a narrow
-/// solve runs concurrently with other narrow jobs on a wide engine, and
-/// queues (priority-ordered, bounded) instead of blocking on ranks
-/// [0, nprocs). `nprocs` defaults to the scheduler's full width.
+/// Whole-problem driver through a space-sharing Scheduler
+/// (mpl/scheduler.hpp): submits solve_process as one job over `nprocs` warm
+/// ranks (the scheduler's full width by default) and returns the global
+/// minimum. A narrow solve runs concurrently with other narrow jobs on a
+/// wide engine, and queues (priority-ordered, bounded) when ranks are busy;
+/// a stream of solves reuses rank threads and mailbox lanes instead of
+/// respawning per problem.
 template <Spec S>
 double solve_engine(S& spec, mpl::Scheduler& scheduler, typename S::node_type root,
                     int nprocs = 0, std::size_t chunk = 512,
@@ -441,6 +413,8 @@ double solve_engine(S& spec, mpl::Scheduler& scheduler, typename S::node_type ro
         ProcessStats local{};
         const double incumbent = solve_process(
             spec, p, root, chunk, seed_factor, stats != nullptr ? &local : nullptr);
+        // Every rank computes the same incumbent; rank 0's copy (and stats,
+        // which are symmetric across ranks) become the job result.
         if (p.rank() == 0) {
           best = incumbent;
           job_stats = local;

@@ -45,8 +45,8 @@
 #include <utility>
 #include <vector>
 
-#include "mpl/engine.hpp"
 #include "mpl/process.hpp"
+#include "mpl/scheduler.hpp"
 #include "support/partition.hpp"
 
 namespace ppa::onedeep {
@@ -267,18 +267,20 @@ std::vector<typename S::value_type> run_process(
   return local;
 }
 
-/// Whole-problem driver on a persistent engine: run_process on one warm
-/// SPMD job per call. `locals` is the initial block distribution (its size
-/// sets the job width, which must fit engine.width()); the result is the
-/// final distribution. A stream of one-deep computations on one engine
-/// reuses rank threads and mailbox lanes instead of respawning per call.
+/// Whole-problem driver through a space-sharing Scheduler
+/// (mpl/scheduler.hpp): run_process as one warm SPMD job per call. `locals`
+/// is the initial block distribution (its size sets the job width, which
+/// must fit scheduler.width()); the result is the final distribution.
+/// Narrow computations submitted from several threads run side by side on
+/// disjoint rank sets, and a stream of them reuses the engine's rank
+/// threads and mailbox lanes instead of respawning per call.
 template <Spec S>
 std::vector<std::vector<typename S::value_type>> run_engine(
-    S& spec, mpl::Engine& engine,
+    S& spec, mpl::Scheduler& scheduler,
     std::vector<std::vector<typename S::value_type>> locals,
     ParamStrategy strategy = ParamStrategy::kReplicated) {
   const int nprocs = static_cast<int>(locals.size());
-  engine.run(nprocs, [&](mpl::Process& p) {
+  scheduler.run(nprocs, [&](mpl::Process& p) {
     auto& slot = locals[static_cast<std::size_t>(p.rank())];
     slot = run_process(spec, p, std::move(slot), strategy);
   });

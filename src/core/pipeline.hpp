@@ -63,10 +63,11 @@
 //                       enforce. Batches carry a [seq, flags, count]
 //                       header; ordered-farm output is resequenced at the
 //                       consuming rank.
-//   run_engine(eng)   — run_process submitted as one job on a persistent
-//                       mpl::Engine (engine.hpp): back-to-back runs reuse
-//                       warm rank threads, mailbox lanes and recycled tag
-//                       blocks — the serving shape for request streams.
+//   run_engine(sched) — run_process submitted as one job through an
+//                       mpl::Scheduler (scheduler.hpp) over a persistent
+//                       engine: back-to-back runs reuse warm rank threads,
+//                       mailbox lanes and recycled tag blocks — the
+//                       serving shape for request streams.
 //
 // Exception contract: the first exception thrown by any stage (any driver)
 // is rethrown exactly once from the run_* call, after shutdown has drained:
@@ -106,7 +107,6 @@
 
 #include "core/graph_error.hpp"
 #include "core/task.hpp"
-#include "mpl/engine.hpp"
 #include "mpl/scheduler.hpp"
 #include "mpl/process.hpp"
 
@@ -868,29 +868,16 @@ class Plan {
                          std::make_index_sequence<kNodes>{});
   }
 
-  /// Submit this plan as one SPMD job on a persistent engine: every rank of
-  /// the job runs run_process, and back-to-back submissions reuse the
-  /// engine's warm rank threads, mailbox lanes and (recycled) tag blocks —
-  /// the serving shape for a stream of pipeline requests. `nprocs` defaults
-  /// to exactly ranks_required(); it must fit the engine's width().
-  /// Remember the source-consumption contract: construct a fresh plan per
-  /// run unless the source is deliberately resumable. `options` attaches a
-  /// deadline / cancel token / watchdog to the job (mpl/job.hpp): on
+  /// Submit this plan as one SPMD job through a space-sharing Scheduler
+  /// (mpl/scheduler.hpp): every rank runs run_process, and back-to-back
+  /// submissions reuse warm rank threads, mailbox lanes and recycled tag
+  /// blocks. A narrow pipeline runs beside other narrow jobs on a wide
+  /// engine and queues (priority-ordered, bounded) when ranks are busy.
+  /// `nprocs` defaults to exactly ranks_required(). Construct a fresh plan
+  /// per run unless the source is deliberately resumable. `options`
+  /// attaches a deadline / cancel token / watchdog (mpl/job.hpp): on
   /// cancellation, stages blocked in credit or data waits release via the
-  /// abort and computing stages stop at their next edge operation.
-  mpl::TraceSnapshot run_engine(mpl::Engine& engine, Config cfg = default_config(),
-                                int nprocs = 0,
-                                const mpl::JobOptions& options = {}) {
-    if (nprocs <= 0) nprocs = ranks_required();
-    return engine.run(
-        nprocs, [&](mpl::Process& p) { run_process(p, cfg); }, options);
-  }
-
-  /// Same, through a space-sharing Scheduler (mpl/scheduler.hpp): a narrow
-  /// pipeline runs concurrently with other narrow jobs on a wide engine,
-  /// and queues (priority-ordered, bounded) instead of blocking on ranks
-  /// [0, nprocs). A JobOptions::deadline counts from submission — queueing
-  /// time is charged against it (the serving SLO contract).
+  /// abort. A deadline counts from submission, queueing time included.
   mpl::TraceSnapshot run_engine(mpl::Scheduler& scheduler,
                                 Config cfg = default_config(), int nprocs = 0,
                                 mpl::Priority priority = mpl::Priority::kNormal,

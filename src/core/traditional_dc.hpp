@@ -8,24 +8,12 @@
 // that varies over the run) motivate the one-deep variant; we keep it both as
 // that baseline (Fig 6) and as a generally useful skeleton.
 //
-// Two drivers share one recursion shape (and therefore produce identical
-// results for deterministic specs, including parallel_depth == 0):
-//
-//   divide_and_conquer        forks onto the process-wide work-stealing pool
-//                             (core/task.hpp). Forks are O(1) deque pushes;
-//                             idle workers steal the oldest (largest)
-//                             subproblems, so irregular splits load-balance.
-//   divide_and_conquer_async  the legacy thread-per-fork driver (Fig 1
-//                             taken literally), retained as the bench
-//                             baseline. Live forks are capped at the
-//                             hardware concurrency — a k-way split at depth
-//                             d no longer creates up to k^d threads.
+// The driver, divide_and_conquer, forks onto the process-wide work-stealing
+// pool (core/task.hpp): a fork is an O(1) deque push, and idle workers steal
+// the oldest (largest) subproblems, so irregular splits load-balance.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <future>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -68,34 +56,6 @@ Solution dc_pool(task::ThreadPool& pool, Problem problem, const IsBase& is_base,
   return merge(std::move(subsolutions));
 }
 
-/// Live std::async forks across every divide_and_conquer_async call in the
-/// process; the cap keeps a k-way, depth-d recursion from creating k^d
-/// threads.
-inline std::atomic<int>& live_async_forks() {
-  static std::atomic<int> count{0};
-  return count;
-}
-
-[[nodiscard]] inline int async_fork_cap() {
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 2 : static_cast<int>(hc);
-}
-
-/// Claim one fork slot if the cap allows; the caller must release it (by
-/// decrementing live_async_forks) when the forked thread finishes.
-[[nodiscard]] inline bool try_claim_async_fork() {
-  auto& live = live_async_forks();
-  int current = live.load(std::memory_order_relaxed);
-  const int cap = async_fork_cap();
-  while (current < cap) {
-    if (live.compare_exchange_weak(current, current + 1,
-                                   std::memory_order_acq_rel)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace detail
 
 /// Recursive divide-and-conquer driver on the work-stealing pool.
@@ -119,68 +79,6 @@ Solution divide_and_conquer(Problem problem, const IsBase& is_base, const Base& 
   return detail::dc_pool<Problem, Solution>(
       task::ThreadPool::instance(), std::move(problem), is_base, base, split,
       merge, parallel_depth);
-}
-
-/// Legacy thread-per-fork driver (the seed's implementation of the Fig 1
-/// process tree), retained as the measured baseline for the pool driver.
-/// Each fork that fits under the live-fork cap becomes a std::async thread;
-/// forks beyond the cap are solved inline on the forking thread instead, so
-/// the process never holds more live fork threads than hardware threads.
-template <typename Problem, typename Solution, typename IsBase, typename Base,
-          typename Split, typename Merge>
-Solution divide_and_conquer_async(Problem problem, const IsBase& is_base,
-                                  const Base& base, const Split& split,
-                                  const Merge& merge, int parallel_depth = 0) {
-  if (is_base(problem)) return base(std::move(problem));
-
-  std::vector<Problem> subproblems = split(std::move(problem));
-  std::vector<Solution> subsolutions(subproblems.size());
-
-  if (parallel_depth > 0 && subproblems.size() > 1) {
-    // Fork what the cap allows; solve the rest (and the first) inline.
-    std::vector<std::pair<std::size_t, std::future<Solution>>> futures;
-    futures.reserve(subproblems.size() - 1);
-    for (std::size_t i = 1; i < subproblems.size(); ++i) {
-      if (detail::try_claim_async_fork()) {
-        try {
-          futures.emplace_back(
-              i, std::async(
-                     std::launch::async,
-                     [&is_base, &base, &split, &merge, parallel_depth](Problem sub) {
-                       struct ReleaseSlot {
-                         ~ReleaseSlot() {
-                           detail::live_async_forks().fetch_sub(
-                               1, std::memory_order_acq_rel);
-                         }
-                       } release;
-                       return divide_and_conquer_async<Problem, Solution>(
-                           std::move(sub), is_base, base, split, merge,
-                           parallel_depth - 1);
-                     },
-                     std::move(subproblems[i])));
-        } catch (...) {
-          // Thread creation failed (the exact condition the cap guards
-          // against): release the claimed slot, then surface the error.
-          detail::live_async_forks().fetch_sub(1, std::memory_order_acq_rel);
-          throw;
-        }
-      } else {
-        subsolutions[i] = divide_and_conquer_async<Problem, Solution>(
-            std::move(subproblems[i]), is_base, base, split, merge,
-            parallel_depth - 1);
-      }
-    }
-    subsolutions[0] = divide_and_conquer_async<Problem, Solution>(
-        std::move(subproblems[0]), is_base, base, split, merge,
-        parallel_depth - 1);
-    for (auto& [i, future] : futures) subsolutions[i] = future.get();
-  } else {
-    for (std::size_t i = 0; i < subproblems.size(); ++i) {
-      subsolutions[i] = divide_and_conquer_async<Problem, Solution>(
-          std::move(subproblems[i]), is_base, base, split, merge, 0);
-    }
-  }
-  return merge(std::move(subsolutions));
 }
 
 /// Depth such that 2^depth >= nprocs: the fork depth that puts one leaf of a

@@ -8,9 +8,6 @@
 // compiler can vectorize. field.hpp's FieldView2D/3D supply those pointers
 // with the grids' padded/aligned layout.
 //
-//   * SweepMode            — per-app switch between the kernel sweeps and
-//                            the legacy per-point paths (kept as the oracle
-//                            for the bitwise-equality test battery);
 //   * sweep_rows / sweep_pencils
 //                          — row-segment / pencil-segment drivers matching
 //                            for_region's traversal order;
@@ -24,11 +21,15 @@
 //                            poisson app and the benches (the app swaps
 //                            its iterates, so only the benches copy_row).
 //
+// The apps' stencil sweeps run only through this layer. Their plain
+// per-point restatements are the test oracles: poisson_v1 for poisson,
+// tests/seq_oracles.hpp for euler2d and fdtd3d.
+//
 // Bitwise contract: every kernel evaluates each output element with exactly
-// the same floating-point expression and per-element operation order as the
-// legacy per-point code. Tiling only reorders *which element is computed
+// the same floating-point expression and per-element operation order as a
+// per-point loop would. Tiling only reorders *which element is computed
 // when* — outputs are disjoint from inputs in all stencil sweeps, so
-// results are bitwise-identical. The reduction kernel (absdiff_max_row)
+// results are bitwise-identical to those oracles. The reduction kernel (absdiff_max_row)
 // runs several independent maxima and combines them at the end; it does
 // not depend on order because max is exact, so its result is bitwise the
 // strict forward-order fold (NaN and signed zeros included). The build
@@ -52,11 +53,6 @@
 #endif
 
 namespace ppa::mesh {
-
-/// Which sweep implementation an app's time stepper uses. Both produce
-/// bitwise-identical results (pinned by tests/test_kernels.cpp); kLegacy is
-/// kept as the readable per-point oracle and A/B baseline.
-enum class SweepMode { kKernel, kLegacy };
 
 namespace kern {
 

@@ -31,8 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "mpl/tagspace.hpp"
-
 namespace ppa::mpl {
 
 /// Types that can cross the wire: anything memcpy-safe.
@@ -42,24 +40,6 @@ concept Wire = std::is_trivially_copyable_v<T>;
 /// Wildcard selectors for recv.
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -2147483647;
-
-/// Reserve a contiguous block of `count` user tags from the *process-wide*
-/// tag space and return its first tag. Subsystems that need private tag
-/// ranges reserve a block once and agree on the base collectively (rank 0
-/// reserves, then broadcasts), so concurrent or successive runs cannot
-/// collide with each other or with ad-hoc user tags. Thread-safe; never
-/// blocks. Throws std::length_error when the tag space is exhausted.
-///
-/// Blocks reserved here are never recycled unless explicitly returned via
-/// process_tag_space().release(). Long-lived runtimes should prefer the
-/// per-World allocator (World::reserve_tags), whose RAII TagBlock handles
-/// make every reservation release-on-destruction — that is what keeps a
-/// persistent engine running an unbounded stream of pipelines from ever
-/// exhausting the space (see tagspace.hpp).
-inline int reserve_tag_block(int count) {
-  assert(count > 0);
-  return process_tag_space().reserve(count);
-}
 
 /// Immutable message payload with small-buffer optimization. Copying a
 /// Payload never copies large data: inline payloads memcpy at most

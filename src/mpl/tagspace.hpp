@@ -34,7 +34,7 @@
 namespace ppa::mpl {
 
 /// Base of the reserved tag space. Ad-hoc user tags should stay below this
-/// value; tags handed out by TagSpace/reserve_tag_block are at or above it.
+/// value; tags handed out by TagSpace are at or above it.
 inline constexpr int kReservedTagSpaceBase = 1 << 24;
 
 /// Thrown by TagSpace::reserve when no free range can satisfy the request.
@@ -179,13 +179,5 @@ class TagBlock {
   int count_ = 0;                    // the member-init order below
   int base_ = 0;
 };
-
-/// The process-wide tag space backing the legacy reserve_tag_block()
-/// free function (never destroyed: blocks reserved through it may be
-/// released from static destructors).
-inline TagSpace& process_tag_space() {
-  static auto* space = new TagSpace();
-  return *space;
-}
 
 }  // namespace ppa::mpl

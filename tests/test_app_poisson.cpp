@@ -271,7 +271,7 @@ TEST(PoissonBlocks, SwapInsteadOfCopyBackMatchesV1BitwiseEachIteration) {
   // new values back. Stopping after 1, 2 and 3 rounds (tolerance 0 never
   // converges) pins that each round's field, count and diffmax still equal
   // poisson_v1's, for one block per rank and a round-robin multi-block
-  // map, under both sweep implementations.
+  // map.
   PoissonProblem prob;
   prob.nx = 19;
   prob.ny = 14;
@@ -284,28 +284,24 @@ TEST(PoissonBlocks, SwapInsteadOfCopyBackMatchesV1BitwiseEachIteration) {
     prob.max_iters = iters;
     const auto v1 = app::poisson_v1(prob);
     ASSERT_EQ(v1.iterations, iters);
-    for (const auto sweep : {mesh::SweepMode::kKernel, mesh::SweepMode::kLegacy}) {
-      prob.sweep = sweep;
-      for (const int np : {1, 2, 4, 8}) {
-        mesh::BlockConfig round_robin;
-        round_robin.nbx = 3;
-        round_robin.nby = 3;
-        round_robin.owner = mesh::distribute_blocks_round_robin(9, np);
-        for (const auto& config : {mesh::BlockConfig{}, round_robin}) {
-          const auto blk = app::poisson_spmd(prob, np, config);
-          const std::string where =
-              "iters=" + std::to_string(iters) + " np=" + std::to_string(np) +
-              " nbx=" + std::to_string(config.nbx) + " legacy=" +
-              std::to_string(sweep == mesh::SweepMode::kLegacy);
-          EXPECT_EQ(blk.iterations, v1.iterations) << where;
-          EXPECT_EQ(bits(blk.final_diffmax), bits(v1.final_diffmax)) << where;
-          ASSERT_EQ(blk.u.rows(), v1.u.rows()) << where;
-          ASSERT_EQ(blk.u.cols(), v1.u.cols()) << where;
-          for (std::size_t i = 0; i < v1.u.rows(); ++i) {
-            for (std::size_t j = 0; j < v1.u.cols(); ++j) {
-              ASSERT_EQ(bits(blk.u(i, j)), bits(v1.u(i, j)))
-                  << where << " at (" << i << "," << j << ")";
-            }
+    for (const int np : {1, 2, 4, 8}) {
+      mesh::BlockConfig round_robin;
+      round_robin.nbx = 3;
+      round_robin.nby = 3;
+      round_robin.owner = mesh::distribute_blocks_round_robin(9, np);
+      for (const auto& config : {mesh::BlockConfig{}, round_robin}) {
+        const auto blk = app::poisson_spmd(prob, np, config);
+        const std::string where = "iters=" + std::to_string(iters) +
+                                  " np=" + std::to_string(np) +
+                                  " nbx=" + std::to_string(config.nbx);
+        EXPECT_EQ(blk.iterations, v1.iterations) << where;
+        EXPECT_EQ(bits(blk.final_diffmax), bits(v1.final_diffmax)) << where;
+        ASSERT_EQ(blk.u.rows(), v1.u.rows()) << where;
+        ASSERT_EQ(blk.u.cols(), v1.u.cols()) << where;
+        for (std::size_t i = 0; i < v1.u.rows(); ++i) {
+          for (std::size_t j = 0; j < v1.u.cols(); ++j) {
+            ASSERT_EQ(bits(blk.u(i, j)), bits(v1.u(i, j)))
+                << where << " at (" << i << "," << j << ")";
           }
         }
       }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <complex>
 #include <cstdlib>
@@ -391,7 +392,7 @@ TEST(Compose, AnchoredDeadlinePlumbing) {
   // already past its budget must make submission throw JobDeadlineExceeded
   // without admitting (or running) the job — deterministically.
   auto sched = make_scheduler(2);
-  bool ran = false;
+  std::atomic<bool> ran{false};  // written by both ranks of the job
   mpl::JobOptions options;
   options.deadline = std::chrono::milliseconds(500);
   options.anchor = std::chrono::steady_clock::now() - std::chrono::seconds(2);
@@ -399,7 +400,7 @@ TEST(Compose, AnchoredDeadlinePlumbing) {
                    2, [&ran](mpl::Process&) { ran = true; },
                    mpl::Priority::kNormal, options),
                mpl::JobDeadlineExceeded);
-  EXPECT_FALSE(ran);
+  EXPECT_FALSE(ran.load());
   EXPECT_EQ(sched->stats().expired_queued, 1u);
   // Default anchor ({}): the clock starts at submission, so the same
   // budget admits and completes a quick job.
@@ -407,7 +408,7 @@ TEST(Compose, AnchoredDeadlinePlumbing) {
   fresh.deadline = std::chrono::seconds(30);
   (void)sched->run_job(2, [&ran](mpl::Process&) { ran = true; },
                        mpl::Priority::kNormal, fresh);
-  EXPECT_TRUE(ran);
+  EXPECT_TRUE(ran.load());
 }
 
 TEST(Compose, GraphDeadlineIsSharedAcrossHostedJobs) {

@@ -1,8 +1,9 @@
 // Unit tests for the persistent SPMD engine (mpl/engine.hpp): warm-rank job
 // submission, per-job epochs (independent traces, re-armed barrier, emptied
 // mailboxes), abort-then-reuse, the spmd_run warm wrapper, recyclable tag
-// blocks (mpl/tagspace.hpp), and the engine-backed archetype drivers
-// (pipeline::run_engine, bnb::solve_engine, onedeep::run_engine).
+// blocks (mpl/tagspace.hpp), and the archetype drivers submitting through a
+// Scheduler over a warm engine (pipeline::run_engine, bnb::solve_engine,
+// onedeep::run_engine).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "core/onedeep.hpp"
 #include "core/pipeline.hpp"
 #include "mpl/engine.hpp"
+#include "mpl/scheduler.hpp"
 #include "mpl/spmd.hpp"
 #include "mpl/tagspace.hpp"
 
@@ -289,8 +291,10 @@ TEST(EngineDrivers, PipelineJobsRecycleTagBlocks) {
   // (2 edges -> 4 tags): looping plan construction past this capacity is
   // the regression the recyclable allocator exists for — the old
   // process-global monotone counter would exhaust on the second run.
-  Engine engine(3, std::make_shared<TagSpace>(kReservedTagSpaceBase,
-                                              kReservedTagSpaceBase + 4));
+  auto engine = std::make_shared<Engine>(
+      3, std::make_shared<TagSpace>(kReservedTagSpaceBase,
+                                    kReservedTagSpaceBase + 4));
+  Scheduler sched(engine);
   for (int run = 0; run < 25; ++run) {
     int next = 0;
     long total = 0;
@@ -300,12 +304,12 @@ TEST(EngineDrivers, PipelineJobsRecycleTagBlocks) {
                 pipeline::stage([](int v) { return v * 2; }) |
                 pipeline::sink([&total](int v) { total += v; });
     ASSERT_EQ(plan.ranks_required(), 3);
-    plan.run_engine(engine);
+    plan.run_engine(sched);
     EXPECT_EQ(total, 56);
-    EXPECT_EQ(engine.world().tag_space().outstanding(), 0)
+    EXPECT_EQ(engine->world().tag_space().outstanding(), 0)
         << "pipeline run " << run << " leaked its tag block";
   }
-  EXPECT_EQ(engine.jobs_run(), 25u);
+  EXPECT_EQ(engine->jobs_run(), 25u);
 }
 
 /// Minimize the sum of a 3-level ternary tree path (values 0..2 per level).
@@ -370,19 +374,19 @@ struct SampleSortSpec {
 };
 
 TEST(EngineDrivers, BnbSolveOnWarmEngine) {
-  Engine engine(4);
+  Scheduler sched(std::make_shared<Engine>(4));
   TernaryPathSpec spec;
   for (int run = 0; run < 3; ++run) {
     bnb::ProcessStats stats;
     const double best =
-        bnb::solve_engine(spec, engine, TernaryPathSpec::Node{}, 4, 16, 2, &stats);
+        bnb::solve_engine(spec, sched, TernaryPathSpec::Node{}, 4, 16, 2, &stats);
     EXPECT_EQ(best, 0.0);
     EXPECT_GT(stats.rounds, 0u);
   }
 }
 
 TEST(EngineDrivers, OneDeepOnWarmEngine) {
-  Engine engine(4);
+  Scheduler sched(std::make_shared<Engine>(4));
   SampleSortSpec spec;
   std::vector<int> data(64);
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -392,17 +396,55 @@ TEST(EngineDrivers, OneDeepOnWarmEngine) {
   std::sort(expected.begin(), expected.end());
   for (int run = 0; run < 3; ++run) {
     auto locals = onedeep::run_engine(
-        spec, engine, onedeep::block_distribute(data, 4));
+        spec, sched, onedeep::block_distribute(data, 4));
     EXPECT_EQ(onedeep::gather_blocks(std::move(locals)), expected);
   }
 }
 
+TEST(EngineDrivers, OneDeepSortsFromTwoThreadsShareOneScheduler) {
+  // Two np=2 one-deep sorts submitted from two threads to one width-4
+  // scheduler: the jobs may run side by side on disjoint rank sets, and
+  // each must still equal std::sort.
+  auto engine = std::make_shared<Engine>(4);
+  Scheduler sched(engine);
+  constexpr int kRuns = 10;
+  const auto make_data = [](std::size_t salt) {
+    std::vector<int> data(257);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<int>((i * (37 + 2 * salt) + salt) % 1009);
+    }
+    return data;
+  };
+  std::vector<int> data[2] = {make_data(0), make_data(1)};
+  std::vector<std::vector<int>> sorted[2];
+  std::thread submitters[2];
+  for (int t = 0; t < 2; ++t) {
+    submitters[t] = std::thread([&, t] {
+      SampleSortSpec spec;
+      for (int run = 0; run < kRuns; ++run) {
+        sorted[t].push_back(onedeep::gather_blocks(onedeep::run_engine(
+            spec, sched, onedeep::block_distribute(data[t], 2))));
+      }
+    });
+  }
+  for (auto& s : submitters) s.join();
+  for (int t = 0; t < 2; ++t) {
+    auto expected = data[t];
+    std::sort(expected.begin(), expected.end());
+    ASSERT_EQ(sorted[t].size(), static_cast<std::size_t>(kRuns));
+    for (const auto& out : sorted[t]) EXPECT_EQ(out, expected) << "thread " << t;
+  }
+  EXPECT_EQ(sched.stats().completed, 2u * kRuns);
+  EXPECT_EQ(engine->jobs_run(), 2u * kRuns);
+}
+
 TEST(EngineDrivers, MixedJobStreamOnOneEngine) {
   // The serving shape: heterogeneous jobs interleaved on one warm engine.
-  Engine engine(4);
+  auto engine = std::make_shared<Engine>(4);
+  Scheduler sched(engine);
   for (int round = 0; round < 5; ++round) {
-    engine.run(4, [](Process& p) { (void)p.allgather_value(p.rank()); });
-    engine.run(2, [](Process& p) {
+    sched.run(4, [](Process& p) { (void)p.allgather_value(p.rank()); });
+    sched.run(2, [](Process& p) {
       if (p.rank() == 0) p.send_value(1, 3, 1);
       if (p.rank() == 1) (void)p.recv_value<int>(0, 3);
     });
@@ -413,11 +455,11 @@ TEST(EngineDrivers, MixedJobStreamOnOneEngine) {
                 }) |
                 pipeline::stage([](int v) { return v + 1; }) |
                 pipeline::sink([&total](int v) { total += v; });
-    plan.run_engine(engine);
+    plan.run_engine(sched);
     EXPECT_EQ(total, 10);
   }
-  EXPECT_EQ(engine.jobs_run(), 15u);
-  EXPECT_EQ(engine.world().tag_space().outstanding(), 0);
+  EXPECT_EQ(engine->jobs_run(), 15u);
+  EXPECT_EQ(engine->world().tag_space().outstanding(), 0);
 }
 
 TEST(TagSpace, ExhaustionReportsRequestAndOutstanding) {

@@ -30,6 +30,7 @@
 #include "mpl/engine.hpp"
 #include "mpl/fault.hpp"
 #include "mpl/job.hpp"
+#include "mpl/scheduler.hpp"
 
 namespace {
 
@@ -255,7 +256,8 @@ TEST(JobControl, InjectedSendFailureSurfacesAsRootCause) {
 }
 
 TEST(JobControl, PipelineCancellationPropagatesThroughCreditWaits) {
-  Engine engine(4);
+  auto engine = std::make_shared<Engine>(4);
+  Scheduler sched(engine);
   CancelSource cancel;
   std::atomic<long> produced{0};
   // Unbounded source against a sink slow enough that the producer lives in
@@ -270,12 +272,13 @@ TEST(JobControl, PipelineCancellationPropagatesThroughCreditWaits) {
     std::this_thread::sleep_for(50ms);
     cancel.cancel();
   });
-  EXPECT_THROW(plan.run_engine(engine, pipeline::default_config(), 0,
+  EXPECT_THROW(plan.run_engine(sched, pipeline::default_config(), 0,
+                               Priority::kNormal,
                                JobOptions{.cancel = cancel.token()}),
                JobCancelled);
   firer.join();
   EXPECT_GT(produced.load(), 0);
-  EXPECT_EQ(engine.world().tag_space().outstanding(), 0)
+  EXPECT_EQ(engine->world().tag_space().outstanding(), 0)
       << "cancelled pipeline must still release its tag block";
   // The engine accepts a clean pipeline right after the cancelled one.
   long total = 0;
@@ -285,7 +288,7 @@ TEST(JobControl, PipelineCancellationPropagatesThroughCreditWaits) {
                }) |
                pipeline::stage([](int v) { return v * 2; }) |
                pipeline::sink([&](int v) { total += v; });
-  clean.run_engine(engine);
+  clean.run_engine(sched);
   EXPECT_EQ(total, 56);
 }
 
@@ -300,10 +303,10 @@ struct CheckJobResult {
   std::uint64_t bytes = 0;
 };
 
-CheckJobResult run_check_job(Engine& engine) {
+CheckJobResult run_check_job(Scheduler& sched) {
   CheckJobResult out;
   std::vector<double> reduced;
-  const auto trace = engine.run(4, [&](Process& p) {
+  const auto trace = sched.run(4, [&](Process& p) {
     std::vector<double> local(64);
     for (std::size_t i = 0; i < local.size(); ++i) {
       local[i] = 1.0 / (1.0 + static_cast<double>(i) +
@@ -381,10 +384,12 @@ int soak_job_count() {
 }
 
 TEST(FaultSoak, MixedJobsUnderRandomizedPlansLeaveEngineClean) {
-  Engine engine(4);
+  // Every job goes through a Scheduler over one engine.
+  auto engine = std::make_shared<Engine>(4);
+  Scheduler sched(engine);
 
   // Fault-free references, computed once on the clean engine.
-  const CheckJobResult reference = run_check_job(engine);
+  const CheckJobResult reference = run_check_job(sched);
   ASSERT_FALSE(reference.bits.empty());
 
   app::PoissonProblem poisson;
@@ -394,7 +399,7 @@ TEST(FaultSoak, MixedJobsUnderRandomizedPlansLeaveEngineClean) {
   poisson.max_iters = 500;
   poisson.f = [](double x, double y) { return x - y; };
   poisson.g = [](double x, double y) { return x * y; };
-  const auto poisson_ref = app::poisson_spmd(poisson, engine, 4);
+  const auto poisson_ref = app::poisson_spmd(poisson, sched, 4);
   ASSERT_GT(poisson_ref.iterations, 0u);
 
   struct TernarySpec {
@@ -448,8 +453,8 @@ TEST(FaultSoak, MixedJobsUnderRandomizedPlansLeaveEngineClean) {
         const FaultInjectionScope scope(plan);
         switch (j % 4) {
           case 0: {
-            const auto r =
-                app::poisson_spmd(poisson, engine, 2 + 2 * (j % 2), options);
+            const auto r = app::poisson_spmd(poisson, sched, 2 + 2 * (j % 2),
+                                             Priority::kNormal, options);
             (void)r;
             break;
           }
@@ -462,18 +467,19 @@ TEST(FaultSoak, MixedJobsUnderRandomizedPlansLeaveEngineClean) {
                       }) |
                       pipeline::stage([](int v) { return v + 1; }) |
                       pipeline::sink([&](int v) { total += v; });
-            pl.run_engine(engine, pipeline::default_config(), 0, options);
+            pl.run_engine(sched, pipeline::default_config(), 0,
+                          Priority::kNormal, options);
             break;
           }
           case 2: {
-            (void)bnb::solve_engine(bnb_spec, engine, TernarySpec::Node{}, 4,
-                                    16, 2, nullptr, options);
+            (void)bnb::solve_engine(bnb_spec, sched, TernarySpec::Node{}, 4,
+                                    16, 2, nullptr, Priority::kNormal, options);
             break;
           }
           default:
-            engine.run(
+            sched.run(
                 4, [](Process& p) { (void)p.allgather_value(p.rank()); },
-                options);
+                Priority::kNormal, options);
             break;
         }
       } catch (const FaultInjected&) {
@@ -491,13 +497,13 @@ TEST(FaultSoak, MixedJobsUnderRandomizedPlansLeaveEngineClean) {
       if (failed) ++failures_seen;
 
       // Parked-state invariants after every job, failed or not.
-      ASSERT_EQ(engine.world().tag_space().outstanding(), 0)
+      ASSERT_EQ(engine->world().tag_space().outstanding(), 0)
           << "plan " << seed << " job " << j << " leaked tags";
 
       if (failed) {
         // A fault-free job immediately after an injected failure must be
         // bitwise-identical to the clean reference (zeroed trace included).
-        const CheckJobResult check = run_check_job(engine);
+        const CheckJobResult check = run_check_job(sched);
         ASSERT_TRUE(bitwise_equal(check.bits, reference.bits))
             << "plan " << seed << " job " << j
             << ": post-failure job diverged from the fault-free reference";
@@ -507,7 +513,7 @@ TEST(FaultSoak, MixedJobsUnderRandomizedPlansLeaveEngineClean) {
     }
 
     // End of plan: full poisson solve, bitwise against the reference field.
-    const auto clean = app::poisson_spmd(poisson, engine, 4);
+    const auto clean = app::poisson_spmd(poisson, sched, 4);
     ASSERT_EQ(clean.iterations, poisson_ref.iterations);
     ASSERT_EQ(clean.u.rows(), poisson_ref.u.rows());
     ASSERT_TRUE(std::memcmp(clean.u.data(), poisson_ref.u.data(),
@@ -518,7 +524,7 @@ TEST(FaultSoak, MixedJobsUnderRandomizedPlansLeaveEngineClean) {
   EXPECT_GE(jobs_submitted, total_jobs);
   EXPECT_GT(failures_seen, 0) << "the soak never injected a visible fault — "
                                  "plans are too weak to exercise recovery";
-  EXPECT_EQ(engine.world().tag_space().outstanding(), 0);
+  EXPECT_EQ(engine->world().tag_space().outstanding(), 0);
 }
 
 }  // namespace

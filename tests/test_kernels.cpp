@@ -9,9 +9,10 @@
 //   * the reduction contract: absdiff_max_row equals a strict forward-order
 //     fold bitwise, NaN and signed zeros included;
 //   * the bitwise-equality battery: for poisson, euler2d, and fdtd3d, the
-//     kernel sweeps must reproduce the legacy per-point sweeps exactly —
-//     at np in {1, 2, 4, 8}, with odd extents, and on block-set drivers
-//     with non-divisible block shapes.
+//     kernel sweeps must reproduce a plain per-point oracle exactly
+//     (poisson_v1; tests/seq_oracles.hpp for euler2d and fdtd3d) — at np
+//     in {1, 2, 4, 8}, with odd extents, and on block-set drivers with
+//     non-divisible block shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "apps/poisson/poisson.hpp"
 #include "meshspectral/meshspectral.hpp"
 #include "mpl/spmd.hpp"
+#include "seq_oracles.hpp"
 
 namespace {
 
@@ -207,11 +209,11 @@ TEST(KernelPadding, ExchangeGhost2OnPaddedRows) {
 
 // ------------------------------------------------ jacobi kernel parity --
 
-TEST(KernelSweeps, TiledJacobiMatchesNaiveAndLegacyBitwise) {
+TEST(KernelSweeps, TiledJacobiMatchesNaiveAndPerPointBitwise) {
   // Odd extents and a tiny tile force ragged tiles; all three sweeps must
   // agree bitwise because each output element sees the same expression.
   mesh::Grid2D<double> in(37, 29, 1), f(37, 29, 1);
-  mesh::Grid2D<double> out_legacy(37, 29, 1), out_rows(37, 29, 1),
+  mesh::Grid2D<double> out_point(37, 29, 1), out_rows(37, 29, 1),
       out_tiled(37, 29, 1);
   in.init_from_global([](std::size_t gi, std::size_t gj) {
     return std::sin(static_cast<double>(gi) * 0.7) +
@@ -224,7 +226,7 @@ TEST(KernelSweeps, TiledJacobiMatchesNaiveAndLegacyBitwise) {
   const mesh::Region2 r{1, 36, 1, 28};
 
   mesh::for_region(r, [&](std::ptrdiff_t i, std::ptrdiff_t j) {
-    out_legacy(i, j) =
+    out_point(i, j) =
         (in(i - 1, j) + in(i + 1, j) + in(i, j - 1) + in(i, j + 1) -
          h2 * f(i, j)) *
         0.25;
@@ -237,8 +239,8 @@ TEST(KernelSweeps, TiledJacobiMatchesNaiveAndLegacyBitwise) {
 
   for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
     for (std::ptrdiff_t j = r.j0; j < r.j1; ++j) {
-      EXPECT_EQ(out_rows(i, j), out_legacy(i, j)) << i << "," << j;
-      EXPECT_EQ(out_tiled(i, j), out_legacy(i, j)) << i << "," << j;
+      EXPECT_EQ(out_rows(i, j), out_point(i, j)) << i << "," << j;
+      EXPECT_EQ(out_tiled(i, j), out_point(i, j)) << i << "," << j;
     }
   }
 }
@@ -289,11 +291,42 @@ TEST(KernelReduction, AbsdiffMaxMatchesForwardOrderBitwise) {
   }
 }
 
-// ------------------------------------- app batteries: kernel == legacy --
+// ------------------------------------- app batteries: kernel == oracle --
+
+/// Bitwise equality of two dense fields; reports the first mismatch.
+::testing::AssertionResult bitwise_equal(const Array2D<double>& got,
+                                         const Array2D<double>& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.rows() << "x" << got.cols() << " != "
+           << want.rows() << "x" << want.cols();
+  }
+  for (std::size_t i = 0; i < want.rows(); ++i) {
+    for (std::size_t j = 0; j < want.cols(); ++j) {
+      if (std::bit_cast<std::uint64_t>(got(i, j)) !=
+          std::bit_cast<std::uint64_t>(want(i, j))) {
+        return ::testing::AssertionFailure()
+               << "at (" << i << "," << j << "): " << got(i, j)
+               << " != " << want(i, j);
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The block-set drivers' non-divisible multi-block map: 3x3 blocks dealt
+/// round-robin over np ranks.
+mesh::BlockConfig round_robin_3x3(int np) {
+  mesh::BlockConfig config;
+  config.nbx = 3;
+  config.nby = 3;
+  config.owner = mesh::distribute_blocks_round_robin(9, np);
+  return config;
+}
 
 class KernelsP : public testing::TestWithParam<int> {};
 
-TEST_P(KernelsP, PoissonKernelMatchesLegacyBitwise) {
+TEST_P(KernelsP, PoissonKernelMatchesV1Bitwise) {
   const int np = GetParam();
   app::PoissonProblem prob;
   prob.nx = 33;
@@ -301,60 +334,48 @@ TEST_P(KernelsP, PoissonKernelMatchesLegacyBitwise) {
   prob.tolerance = 1e-6;
   prob.g = [](double x, double y) { return x * x - y * y; };
 
-  prob.sweep = mesh::SweepMode::kLegacy;
-  const auto legacy = app::poisson_spmd(prob, np);
-  prob.sweep = mesh::SweepMode::kKernel;
-  const auto kernel = app::poisson_spmd(prob, np);
-
-  EXPECT_EQ(legacy.iterations, kernel.iterations);
-  EXPECT_EQ(legacy.final_diffmax, kernel.final_diffmax);
-  ASSERT_EQ(legacy.u.rows(), kernel.u.rows());
-  ASSERT_EQ(legacy.u.cols(), kernel.u.cols());
-  for (std::size_t i = 0; i < legacy.u.rows(); ++i)
-    for (std::size_t j = 0; j < legacy.u.cols(); ++j)
-      EXPECT_EQ(legacy.u(i, j), kernel.u(i, j))
-          << "np=" << np << " at (" << i << "," << j << ")";
+  const auto v1 = app::poisson_v1(prob);
+  for (const auto& config : {mesh::BlockConfig{}, round_robin_3x3(np)}) {
+    const auto kernel = app::poisson_spmd(prob, np, config);
+    EXPECT_EQ(kernel.iterations, v1.iterations) << "np=" << np;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(kernel.final_diffmax),
+              std::bit_cast<std::uint64_t>(v1.final_diffmax))
+        << "np=" << np;
+    EXPECT_TRUE(bitwise_equal(kernel.u, v1.u))
+        << "np=" << np << " nbx=" << config.nbx;
+  }
 }
 
-TEST_P(KernelsP, EulerKernelMatchesLegacyBitwise) {
+TEST_P(KernelsP, EulerKernelMatchesOracleBitwise) {
   const int np = GetParam();
   app::CfdConfig cfg;
   cfg.nx = 48;
   cfg.ny = 22;
-  cfg.sweep = mesh::SweepMode::kLegacy;
-  const auto legacy = app::run_shock_interface(cfg, 12, np);
-  cfg.sweep = mesh::SweepMode::kKernel;
-  const auto kernel = app::run_shock_interface(cfg, 12, np);
-  ASSERT_EQ(legacy.rows(), kernel.rows());
-  for (std::size_t i = 0; i < legacy.rows(); ++i)
-    for (std::size_t j = 0; j < legacy.cols(); ++j)
-      EXPECT_EQ(legacy(i, j), kernel(i, j))
-          << "np=" << np << " at (" << i << "," << j << ")";
+  const auto oracle = oracle::euler_shock_interface(cfg, 12);
+  for (const auto& config : {mesh::BlockConfig{}, round_robin_3x3(np)}) {
+    EXPECT_TRUE(bitwise_equal(app::run_shock_interface(cfg, 12, np, config),
+                              oracle))
+        << "np=" << np << " nbx=" << config.nbx;
+  }
 }
 
-TEST_P(KernelsP, FdtdKernelMatchesLegacyBitwise) {
+TEST_P(KernelsP, FdtdKernelMatchesOracleBitwise) {
   const int np = GetParam();
   app::EmConfig cfg;
   cfg.n = 20;
   cfg.src_i = 5;
   cfg.src_j = 10;
   cfg.src_k = 10;
-  cfg.sweep = mesh::SweepMode::kLegacy;
-  const auto legacy = app::run_em_scattering(cfg, 6, np);
-  cfg.sweep = mesh::SweepMode::kKernel;
-  const auto kernel = app::run_em_scattering(cfg, 6, np);
-  ASSERT_EQ(legacy.rows(), kernel.rows());
-  for (std::size_t i = 0; i < legacy.rows(); ++i)
-    for (std::size_t j = 0; j < legacy.cols(); ++j)
-      EXPECT_EQ(legacy(i, j), kernel(i, j))
-          << "np=" << np << " at (" << i << "," << j << ")";
+  EXPECT_TRUE(bitwise_equal(app::run_em_scattering(cfg, 6, np),
+                            oracle::em_scattering(cfg, 6)))
+      << "np=" << np;
 }
 
 INSTANTIATE_TEST_SUITE_P(NP, KernelsP, testing::Values(1, 2, 4, 8));
 
-TEST(KernelBlocks, PoissonBlockDriverKernelMatchesLegacyBitwise) {
+TEST(KernelBlocks, PoissonBlockDriverMatchesV1Bitwise) {
   // Non-divisible block shapes (3x2 blocks of a 31x23 grid on 2 ranks,
-  // round-robin owners) through the same kernels.
+  // hand-picked owners) through the same kernels.
   app::PoissonProblem prob;
   prob.nx = 31;
   prob.ny = 23;
@@ -365,22 +386,15 @@ TEST(KernelBlocks, PoissonBlockDriverKernelMatchesLegacyBitwise) {
   config.nby = 2;
   config.owner = {0, 1, 1, 0, 1, 0};
 
-  prob.sweep = mesh::SweepMode::kLegacy;
-  const auto legacy = app::poisson_spmd(prob, 2, config);
-  prob.sweep = mesh::SweepMode::kKernel;
+  const auto v1 = app::poisson_v1(prob);
   const auto kernel = app::poisson_spmd(prob, 2, config);
-  const auto single = app::poisson_spmd(prob, 2);
-
-  EXPECT_EQ(legacy.iterations, kernel.iterations);
-  EXPECT_EQ(single.iterations, kernel.iterations);
-  for (std::size_t i = 0; i < legacy.u.rows(); ++i)
-    for (std::size_t j = 0; j < legacy.u.cols(); ++j) {
-      EXPECT_EQ(legacy.u(i, j), kernel.u(i, j)) << i << "," << j;
-      EXPECT_EQ(single.u(i, j), kernel.u(i, j)) << i << "," << j;
-    }
+  EXPECT_EQ(kernel.iterations, v1.iterations);
+  EXPECT_TRUE(bitwise_equal(kernel.u, v1.u));
 }
 
-TEST(KernelBlocks, EulerBlockDriverKernelMatchesLegacyBitwise) {
+TEST(KernelBlocks, EulerBlockDriverMatchesOracleBitwise) {
+  // 2x3 blocks of a 40x18 grid on 2 ranks, with the scenario's inflow/
+  // outflow x boundary and with a fully periodic box.
   app::CfdConfig cfg;
   cfg.nx = 40;
   cfg.ny = 18;
@@ -388,18 +402,12 @@ TEST(KernelBlocks, EulerBlockDriverKernelMatchesLegacyBitwise) {
   config.nbx = 2;
   config.nby = 3;
   config.owner = {0, 1, 0, 1, 0, 1};
-
-  cfg.sweep = mesh::SweepMode::kLegacy;
-  const auto legacy = app::run_shock_interface(cfg, 8, 2, config);
-  cfg.sweep = mesh::SweepMode::kKernel;
-  const auto kernel = app::run_shock_interface(cfg, 8, 2, config);
-  const auto single = app::run_shock_interface(cfg, 8, 2);
-
-  for (std::size_t i = 0; i < legacy.rows(); ++i)
-    for (std::size_t j = 0; j < legacy.cols(); ++j) {
-      EXPECT_EQ(legacy(i, j), kernel(i, j)) << i << "," << j;
-      EXPECT_EQ(single(i, j), kernel(i, j)) << i << "," << j;
-    }
+  for (const bool periodic_x : {false, true}) {
+    cfg.periodic_x = periodic_x;
+    EXPECT_TRUE(bitwise_equal(app::run_shock_interface(cfg, 8, 2, config),
+                              oracle::euler_shock_interface(cfg, 8)))
+        << "periodic_x=" << periodic_x;
+  }
 }
 
 }  // namespace

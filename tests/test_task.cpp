@@ -216,14 +216,13 @@ TEST(TaskDC, DeepRecursionMatchesSequentialBitwise) {
   EXPECT_EQ(pool_dc_sum(xs, 30), sequential);
 }
 
-TEST(TaskDC, AsyncLegacyDriverMatchesAndHonorsCap) {
+TEST(TaskDC, KWaySplitMatchesSequential) {
+  // 4-way recursion forked at its top six levels onto the pool; the leaf
+  // sums, merged in split order, must equal the closed form.
   std::vector<long> xs(5000);
   std::iota(xs.begin(), xs.end(), 1);
   using Problem = std::vector<long>;
-  // Deep k-way recursion on the legacy driver: without the live-fork cap
-  // this forked 4^6 threads; with it the fork count stays bounded and the
-  // result is unchanged.
-  const auto result = dc::divide_and_conquer_async<Problem, long>(
+  const auto result = dc::divide_and_conquer<Problem, long>(
       Problem(xs),
       [](const Problem& p) { return p.size() <= 4; },
       [](Problem p) { return std::accumulate(p.begin(), p.end(), 0L); },
@@ -243,16 +242,13 @@ TEST(TaskDC, AsyncLegacyDriverMatchesAndHonorsCap) {
       },
       6);
   EXPECT_EQ(result, 5000L * 5001L / 2);
-  // Every claimed fork slot was released.
-  EXPECT_EQ(dc::detail::live_async_forks().load(), 0);
 }
 
-TEST(TaskDC, MergesortPoolEqualsAsyncEqualsStdSort) {
+TEST(TaskDC, MergesortPoolEqualsStdSort) {
   const auto data = random_ints(30000, -1000000, 1000000, 99);
   auto expected = data;
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(app::traditional_mergesort(data, 8), expected);
-  EXPECT_EQ(app::traditional_mergesort_async(data, 8), expected);
 }
 
 // ----------------------------------------- ported algorithm task drivers --
