@@ -129,7 +129,7 @@ void pipeline_burst(mpl::Scheduler& sched, mpl::Priority pri) {
               }) |
               pipeline::stage([](long v) { return 2 * v + 1; }) |
               pipeline::sink([&total](long v) { total += v; });
-  (void)plan.run_engine(sched, pipeline::default_config(), 0, pri);
+  (void)plan.run_engine(sched, pipeline::Config{}, 0, pri);
   if (total != 64L * 64L) g_bad_results.fetch_add(1);  // sum of 2v+1, v<64
 }
 

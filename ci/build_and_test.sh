@@ -2,9 +2,10 @@
 # CI entry point: tier-1 verify (configure + build + ctest), the examples as
 # smoke tests (each prints a SELF-CHECK line and exits nonzero on failure),
 # the repository benchmark's --check pass (bitwise oracles on all four
-# workloads), and the substrate + mesh + task-runtime microbenchmarks in
-# smoke configuration. The build itself enforces -Wall -Wextra -Werror on
-# src/meshspectral/ and src/core/ via the *_warning_check canary targets.
+# workloads), the substrate + mesh + task-runtime microbenchmarks in smoke
+# configuration, and a TSan and an ASan+UBSan leg over chosen test suites.
+# The build itself enforces -Wall -Wextra -Werror on src/meshspectral/ and
+# src/core/ via the *_warning_check canary targets.
 # Run from the repo root:
 #
 #   ci/build_and_test.sh [build-dir]
@@ -166,6 +167,27 @@ if echo 'int main(){}' | g++ -xc++ -fsanitize=thread -o /tmp/tsan_probe - 2>/dev
     -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_mpl|test_collectives|test_app_poisson'
 else
   echo "==> TSan leg skipped (no usable -fsanitize=thread toolchain)"
+fi
+
+# AddressSanitizer + UndefinedBehaviorSanitizer leg over the stream engine
+# and the suites around it: the flags go in through CMAKE_CXX_FLAGS and
+# CMAKE_EXE_LINKER_FLAGS, so PPA_SANITIZE stays a thread-only switch. Same
+# reduced soak as the TSan leg.
+ASAN_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
+if echo 'int main(){}' | g++ -xc++ -fsanitize=address,undefined -o /tmp/asan_probe - 2>/dev/null; then
+  echo "==> ASan+UBSan build"
+  cmake -B "$BUILD_DIR-asan" -S . -DCMAKE_CXX_FLAGS="$ASAN_FLAGS" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
+    -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
+  cmake --build "$BUILD_DIR-asan" -j "$JOBS"
+  echo "==> ASan+UBSan test (pipeline + compose + faults + core)"
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    PPA_FAULT_SOAK_JOBS=40 PPA_SCHED_SOAK_JOBS=40 PPA_COMPOSE_SMOKE=1 \
+    ctest --test-dir "$BUILD_DIR-asan" \
+    --output-on-failure -j "$JOBS" \
+    -R 'test_pipeline|test_compose|test_faults|test_core'
+else
+  echo "==> ASan+UBSan leg skipped (no usable -fsanitize=address,undefined toolchain)"
 fi
 
 echo "==> OK"

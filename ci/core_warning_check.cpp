@@ -129,7 +129,7 @@ static_assert(bnb::Spec<CanaryBnbSpec>);
                    pipeline::farm(2, [] { return CanaryFlushWorker{}; },
                                   pipeline::unordered) |
                    pipeline::sink([&total](long v) { total += v; });
-  spmd_plan.run_process(p, pipeline::default_config());
+  spmd_plan.run_process(p, pipeline::Config{});
 }
 
 /// Force-instantiate the persistent-engine API (never executed): job
@@ -175,7 +175,7 @@ static_assert(bnb::Spec<CanaryBnbSpec>);
               }) |
               pipeline::stage([](long v) { return v + 1; }) |
               pipeline::sink([&total](long v) { total += v; });
-  (void)plan.run_engine(scheduler, pipeline::default_config());
+  (void)plan.run_engine(scheduler, pipeline::Config{});
 }
 
 /// Force-instantiate the typed composition layer (never executed): the full

@@ -157,7 +157,7 @@ inline std::vector<Feature> signal_sequential(const SignalConfig& cfg) {
 }
 
 inline std::pair<std::vector<Feature>, pipeline::RunStats> signal_threaded(
-    const SignalConfig& cfg, pipeline::Config pcfg = pipeline::default_config()) {
+    const SignalConfig& cfg, pipeline::Config pcfg = {}) {
   std::vector<Feature> out;
   auto stats = make_signal_plan(cfg, out).run_threaded(pcfg);
   return {std::move(out), std::move(stats)};
@@ -165,9 +165,8 @@ inline std::pair<std::vector<Feature>, pipeline::RunStats> signal_threaded(
 
 /// SPMD driver body; the sink rank returns the feature stream, every other
 /// rank returns empty.
-inline std::vector<Feature> signal_process(
-    mpl::Process& p, const SignalConfig& cfg,
-    pipeline::Config pcfg = pipeline::default_config()) {
+inline std::vector<Feature> signal_process(mpl::Process& p, const SignalConfig& cfg,
+                                           pipeline::Config pcfg = {}) {
   std::vector<Feature> out;
   make_signal_plan(cfg, out).run_process(p, pcfg);
   return out;

@@ -12,7 +12,7 @@
 //                                 compose::unordered)  //   2-rank jobs
 //          | compose::sink(emit);
 //   g.run_sequential();                 // hosted jobs via warm spmd_run
-//   g.run_threaded(cfg);                // stage threads + hosted spmd_run
+//   g.run_threaded(cfg);                // slot threads + hosted spmd_run
 //   g.run_scheduler(sched, cfg);        // hosted jobs space-share the engine
 //
 // The front-end is PR 4's operator| pipeline builder (core/pipeline.hpp):
@@ -50,9 +50,9 @@
 // outer graph stays on local threads (items may be non-trivially-copyable,
 // e.g. whole grids) while the width goes into the hosted jobs.
 //
-// Deadlock note: hosted submissions come from pipeline stage threads and
-// pool tasks, never from engine rank threads, and hosted jobs never depend
-// on one another — so scheduler queueing cannot wedge a composed run.
+// Deadlock note: hosted submissions come from pipeline stage and farm
+// replica threads, never from engine rank threads, and hosted jobs never
+// depend on one another — so scheduler queueing cannot wedge a composed run.
 // run failure semantics: the first exception from any stage or hosted job
 // (JobCancelled, JobDeadlineExceeded, a body throw, ...) cancels the graph
 // run and is rethrown from run_* — it fails only this graph run, never the
@@ -351,9 +351,9 @@ class Graph {
     plan_.run_sequential();
   }
 
-  /// Overlapped driver: one thread per serial node, farm batches on the
-  /// work-stealing pool; hosted jobs via spmd_run, same as run_sequential.
-  RunStats run_threaded(Config cfg = pipeline::default_config()) {
+  /// Overlapped driver: one thread per serial node and per farm replica;
+  /// hosted jobs via spmd_run, same as run_sequential.
+  RunStats run_threaded(Config cfg = {}) {
     bind_inline();
     return plan_.run_threaded(cfg);
   }
@@ -366,7 +366,7 @@ class Graph {
   /// JobOptions::anchor semantics in mpl/job.hpp. Throws GraphShapeError
   /// before anything runs if a hosted np exceeds the scheduler's width.
   RunStats run_scheduler(mpl::Scheduler& scheduler,
-                         Config cfg = pipeline::default_config(),
+                         Config cfg = {},
                          mpl::Priority priority = mpl::Priority::kNormal,
                          mpl::JobOptions options = {}) {
     validate_width(scheduler.width(), "run_scheduler");

@@ -1,23 +1,6 @@
 #include "core/pipeline.hpp"
 
-#include <cstdlib>
-
-namespace ppa::pipeline {
-
-namespace {
-
-std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || parsed == 0) return fallback;
-  return static_cast<std::size_t>(parsed);
-}
-
-}  // namespace
-
-namespace detail {
+namespace ppa::pipeline::detail {
 
 std::string node_label(std::size_t index, std::size_t n_nodes, bool is_farm,
                        bool is_ordered) {
@@ -30,13 +13,4 @@ std::string node_label(std::size_t index, std::size_t n_nodes, bool is_farm,
   return "stage#" + std::to_string(index);
 }
 
-}  // namespace detail
-
-Config default_config() {
-  Config cfg;
-  cfg.queue_capacity = env_size("PPA_PIPELINE_QUEUE", cfg.queue_capacity);
-  cfg.batch = env_size("PPA_PIPELINE_BATCH", cfg.batch);
-  return cfg;
-}
-
-}  // namespace ppa::pipeline
+}  // namespace ppa::pipeline::detail

@@ -36,30 +36,35 @@
 // ordered one (wire-level resequencing needs a seq-ordered input stream);
 // both violations throw std::logic_error on every rank.
 //
-// Three drivers with one semantics (deterministic programs produce
-// identical results; unordered-farm output is the same multiset):
+// One stream engine: each node role (source, stage, farm replica, sink) is
+// one loop written against an edge concept,
+//
+//   tx.send(seq, flags, items), tx.send_eos(),
+//   rx.recv() -> std::optional<detail::Batch<Item>>, rx.ack(batch),
+//
+// and the parallel drivers differ only in the edge transport under it.
+// Both run the same slot layout, node_widths(): one slot per serial node,
+// `width` slots per farm, each replica slot owning its worker.
 //
 //   run_sequential()  — plain pull loop, the paper's "debug in the
 //                       sequential domain" mode; no queues, no threads.
-//   run_threaded(cfg) — one thread per serial node; bounded inter-stage
-//                       queues with blocking backpressure (occupancy never
-//                       exceeds cfg.queue_capacity items — instrumented by
-//                       RunStats high-water marks); items move in batches
-//                       of cfg.batch; farm batches execute as tasks on the
-//                       PR-3 work-stealing pool (core/task.hpp), at most
-//                       `width` in flight, each checking out one worker
-//                       replica.
-//   run_process(p)    — SPMD: each node maps to a block of ranks (farms
-//                       get `width` ranks) and every edge gets a dedicated
-//                       mailbox tag pair from the world's recyclable tag
-//                       space (rank 0 reserves an RAII TagBlock, the world
-//                       agrees by broadcast, the block is released when the
-//                       run ends). Flow control is credit-based: a
-//                       producer spends one credit per batch sent to a
-//                       consumer and the consumer returns the credit only
-//                       after the batch is fully processed, so per-edge
-//                       in-flight data is bounded by the same
-//                       queue_capacity/batch budget the threaded queues
+//   run_threaded(cfg) — one std::jthread per slot; each edge is an
+//                       in-process detail::Channel with blocking
+//                       backpressure (occupancy never exceeds
+//                       cfg.queue_capacity items — instrumented by RunStats
+//                       high-water marks); items move in batches of
+//                       cfg.batch; an ordered farm's output channel admits
+//                       batches in input order.
+//   run_process(p)    — SPMD: one rank per slot, and every edge gets a
+//                       dedicated mailbox tag pair from the world's
+//                       recyclable tag space (rank 0 reserves an RAII
+//                       TagBlock, the world agrees by broadcast, the block
+//                       is released when the run ends). Flow control is
+//                       credit-based: a producer spends one credit per
+//                       batch sent to a consumer and the consumer returns
+//                       the credit only after the batch is fully processed,
+//                       so per-edge in-flight data is bounded by the same
+//                       queue_capacity/batch budget the threaded channels
 //                       enforce. Batches carry a [seq, flags, count]
 //                       header; ordered-farm output is resequenced at the
 //                       consuming rank.
@@ -69,10 +74,13 @@
 //                       mailbox lanes and recycled tag blocks — the
 //                       serving shape for request streams.
 //
+// Deterministic programs produce identical results on every driver;
+// unordered-farm output is the same multiset.
+//
 // Exception contract: the first exception thrown by any stage (any driver)
 // is rethrown exactly once from the run_* call, after shutdown has drained:
-// in-flight farm tasks complete, every thread joins (threaded), or the SPMD
-// world aborts and joins (run_process, via spmd_run's machinery).
+// every channel is cancelled and every slot thread joins (threaded), or the
+// SPMD world aborts and joins (run_process, via spmd_run's machinery).
 //
 // Thread-safety: runs must not overlap. A run *consumes* the source
 // callable's captured state (farm workers are re-made per run, the source
@@ -86,7 +94,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -106,7 +113,7 @@
 #include <vector>
 
 #include "core/graph_error.hpp"
-#include "core/task.hpp"
+#include "mpl/job.hpp"
 #include "mpl/scheduler.hpp"
 #include "mpl/process.hpp"
 
@@ -114,22 +121,22 @@ namespace ppa::pipeline {
 
 /// Tuning knobs shared by the threaded and SPMD drivers.
 struct Config {
-  /// Bound on each inter-stage queue's occupancy, in items. The threaded
-  /// driver blocks producers at this bound; the SPMD driver derives the
-  /// per-edge credit budget from it.
+  /// Bound on each edge's occupancy, in items. The threaded driver blocks
+  /// producers at this bound; the SPMD driver derives the per-edge credit
+  /// budget from it.
   std::size_t queue_capacity = 256;
   /// Items transferred per batch (clamped to queue_capacity).
   std::size_t batch = 16;
 };
 
-/// Per-queue instrumentation from a threaded run.
+/// Per-edge instrumentation from a threaded run.
 struct QueueStats {
   std::size_t capacity = 0;    ///< configured bound (items)
   std::size_t high_water = 0;  ///< max observed occupancy (items)
-  std::uint64_t batches = 0;   ///< batches that crossed the queue
+  std::uint64_t batches = 0;   ///< non-empty batches that crossed the edge
 };
 
-/// Result of run_threaded: one entry per inter-stage queue, source-to-sink.
+/// Result of run_threaded: one entry per edge, source-to-sink.
 struct RunStats {
   std::vector<QueueStats> queues;
 };
@@ -285,70 +292,106 @@ class ErrorSlot {
   std::atomic<bool> set_{false};
 };
 
-// --------------------------------------------------------- bounded queue --
+// ------------------------------------------------------------ edge batch --
 
-/// Bounded MPMC queue of item batches with blocking backpressure. Occupancy
-/// is counted in *items*; push blocks while the batch would exceed the
-/// capacity (a batch larger than the whole capacity is admitted only into
-/// an empty queue, so progress is always possible). close() ends the stream
-/// after the queued batches drain; cancel() releases everyone immediately
-/// (error shutdown).
+inline constexpr std::uint32_t kFlagEos = 1u;        ///< producer finished
+inline constexpr std::uint32_t kFlagUnordered = 2u;  ///< bypass ordering
+
+/// One batch as an edge's consumer receives it from rx.recv().
 template <typename Item>
-class BoundedQueue {
+struct Batch {
+  std::uint64_t seq = 0;  ///< SPMD: the source's seq; in-process: pop stamp
+  std::uint32_t flags = 0;
+  int from = -1;  ///< SPMD producer rank (credit return address)
+  std::vector<Item> items;
+};
+
+// ------------------------------------------------------ in-process edge --
+
+/// Shape of one in-process edge (one constructor argument, so a tuple of
+/// channels can be built in place).
+struct ChannelShape {
+  std::size_t capacity;  ///< occupancy bound, in items
+  int producers;         ///< EOS markers that end the stream
+  bool ordered;          ///< the producer is an ordered farm
+};
+
+/// In-process transport of one pipeline edge (run_threaded): a bounded
+/// MPMC channel of item batches. Occupancy is counted in *items*; send
+/// blocks while the batch would exceed the capacity (a batch larger than
+/// the whole capacity is admitted only into an empty channel, so progress
+/// is always possible), and the item count drops at recv, so ack is a
+/// no-op. recv stamps each batch with the channel's pop index and ends the
+/// stream once every producer has sent EOS and the queue has drained.
+///
+/// When the producer is an ordered farm, sequenced sends are admitted in
+/// stamp order: the replica holding stamp s (from its input channel) waits
+/// until s is the channel's turn, and an empty result just advances the
+/// turn. Stamps are handed out at recv, so every earlier stamp is held by
+/// a replica that is already running — the holder of the lowest one always
+/// proceeds, and admission never deadlocks. Each replica holds at most one
+/// stamp, so the waiting stamps lie in [turn, turn + producers) and a turn
+/// wakes exactly its holder, on condition variable s % producers. Flush
+/// output (kFlagUnordered) bypasses the turn. cancel() releases every
+/// waiter; a cancelled send or recv throws mpl::JobCancelled, as a
+/// cancelled SPMD edge does.
+template <typename Item>
+class Channel {
  public:
-  explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
+  explicit Channel(const ChannelShape& shape)
+      : turn_cvs_(shape.ordered ? static_cast<std::size_t>(shape.producers) : 0),
+        capacity_(shape.capacity),
+        eos_remaining_(shape.producers) {}
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
-  enum class PushStatus { kOk, kFull, kCancelled };
-
-  /// Blocks until the batch fits; returns false if the queue was cancelled.
-  /// For dedicated stage threads only — a pool task must use
-  /// detail::push_helping instead, so the wait cannot starve queued tasks.
-  bool push(std::vector<Item> batch) {
+  void send(std::uint64_t seq, std::uint32_t flags, std::vector<Item> items) {
+    const bool in_turn = !turn_cvs_.empty() && (flags & kFlagUnordered) == 0;
+    if (!in_turn && items.empty()) return;
     std::unique_lock lock(mutex_);
-    not_full_.wait(lock, [&] { return cancelled_ || fits(batch.size()); });
-    if (cancelled_) return false;
-    commit(std::move(batch));
-    return true;
+    if (in_turn) {
+      turn_cv(seq).wait(lock, [&] { return cancelled_ || seq == turn_; });
+    }
+    not_full_.wait(lock, [&] { return cancelled_ || fits(items.size()); });
+    if (cancelled_) throw mpl::JobCancelled{};
+    if (in_turn) turn_cv(++turn_).notify_one();
+    if (items.empty()) return;
+    items_ += items.size();
+    high_water_ = std::max(high_water_, items_);
+    ++batches_;
+    queue_.push_back(std::move(items));
+    not_empty_.notify_one();
   }
 
-  /// Bounded-wait push attempt: on kFull the batch is left untouched so the
-  /// caller can do other work (help the pool) and retry.
-  PushStatus try_push_for(std::vector<Item>& batch,
-                          std::chrono::microseconds timeout) {
-    std::unique_lock lock(mutex_);
-    not_full_.wait_for(lock, timeout,
-                       [&] { return cancelled_ || fits(batch.size()); });
-    if (cancelled_) return PushStatus::kCancelled;
-    if (!fits(batch.size())) return PushStatus::kFull;
-    commit(std::move(batch));
-    return PushStatus::kOk;
-  }
-
-  /// Blocks until a batch, close-after-drain, or cancel; nullopt ends.
-  std::optional<std::vector<Item>> pop() {
-    std::unique_lock lock(mutex_);
-    not_empty_.wait(lock, [&] { return cancelled_ || closed_ || !queue_.empty(); });
-    if (cancelled_) return std::nullopt;
-    if (queue_.empty()) return std::nullopt;  // closed and drained
-    std::vector<Item> batch = std::move(queue_.front());
-    queue_.pop_front();
-    items_ -= batch.size();
-    not_full_.notify_one();
-    return batch;
-  }
-
-  void close() {
+  void send_eos() {
     const std::lock_guard lock(mutex_);
-    closed_ = true;
-    not_empty_.notify_all();
+    if (--eos_remaining_ == 0) not_empty_.notify_all();
   }
+
+  std::optional<Batch<Item>> recv() {
+    std::unique_lock lock(mutex_);
+    not_empty_.wait(lock, [&] {
+      return cancelled_ || eos_remaining_ == 0 || !queue_.empty();
+    });
+    if (cancelled_) throw mpl::JobCancelled{};
+    if (queue_.empty()) return std::nullopt;  // every producer done, drained
+    Batch<Item> b;
+    b.seq = pops_++;
+    b.items = std::move(queue_.front());
+    queue_.pop_front();
+    items_ -= b.items.size();
+    not_full_.notify_one();
+    return b;
+  }
+
+  void ack(const Batch<Item>&) const noexcept {}
+
   void cancel() {
     const std::lock_guard lock(mutex_);
     cancelled_ = true;
     not_empty_.notify_all();
     not_full_.notify_all();
+    for (auto& cv : turn_cvs_) cv.notify_all();
   }
 
   [[nodiscard]] QueueStats stats() const {
@@ -360,155 +403,34 @@ class BoundedQueue {
   [[nodiscard]] bool fits(std::size_t n) const {
     return items_ + n <= capacity_ || items_ == 0;
   }
-  void commit(std::vector<Item> batch) {
-    assert(!closed_ && "push after close");
-    items_ += batch.size();
-    if (items_ > high_water_) high_water_ = items_;
-    ++batches_;
-    queue_.push_back(std::move(batch));
-    not_empty_.notify_one();
+  std::condition_variable& turn_cv(std::uint64_t seq) {
+    return turn_cvs_[seq % turn_cvs_.size()];
   }
 
   mutable std::mutex mutex_;
   std::condition_variable not_full_, not_empty_;
+  std::vector<std::condition_variable> turn_cvs_;  ///< ordered producer only
   std::deque<std::vector<Item>> queue_;
   std::size_t capacity_;
   std::size_t items_ = 0;
   std::size_t high_water_ = 0;
   std::uint64_t batches_ = 0;
-  bool closed_ = false;
+  std::uint64_t pops_ = 0;
+  std::uint64_t turn_ = 0;
+  int eos_remaining_;
   bool cancelled_ = false;
 };
 
-/// Push from a pool task: while the destination is full, execute other
-/// queued pool tasks instead of parking. A parked pool thread could starve
-/// the very tasks (a downstream farm's batches) whose completion would
-/// drain the destination — helping breaks that cycle, making blocking
-/// backpressure deadlock-free on any pool width and any farm placement.
-/// Returns false if the queue was cancelled (error shutdown).
-template <typename Item>
-bool push_helping(BoundedQueue<Item>& queue, std::vector<Item> batch,
-                  task::ThreadPool& pool) {
-  for (;;) {
-    switch (queue.try_push_for(batch, std::chrono::microseconds(200))) {
-      case BoundedQueue<Item>::PushStatus::kOk:
-        return true;
-      case BoundedQueue<Item>::PushStatus::kCancelled:
-        return false;
-      case BoundedQueue<Item>::PushStatus::kFull:
-        pool.try_run_one();  // run someone else's work while we wait
-        break;
-    }
-  }
-}
-
-// ------------------------------------------------- farm worker checkout --
-
-/// Hands out worker replica indices; at most `width` farm batches are in
-/// flight because each must hold a replica. Replicas are released by the
-/// pool task that used them, so acquisition always terminates.
-class WorkerCheckout {
- public:
-  explicit WorkerCheckout(std::size_t width) {
-    for (std::size_t i = width; i > 0; --i) free_.push_back(i - 1);
-  }
-  std::size_t acquire() {
-    std::unique_lock lock(mutex_);
-    available_.wait(lock, [&] { return !free_.empty(); });
-    const std::size_t idx = free_.back();
-    free_.pop_back();
-    return idx;
-  }
-  void release(std::size_t idx) {
-    {
-      const std::lock_guard lock(mutex_);
-      free_.push_back(idx);
-    }
-    available_.notify_one();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable available_;
-  std::vector<std::size_t> free_;
-};
-
-// ------------------------------------------------------------- reorderer --
-
-/// Re-emits farm result batches in input-sequence order (threaded driver).
-/// Batch seqs are contiguous from 0; results arriving early are buffered.
-/// Empty result batches advance the sequence without touching the queue.
-/// The mutex is *not* held across the (possibly blocking) queue push: a
-/// single drainer at a time emits the contiguous run via push_helping, so
-/// concurrent emitters just deposit into the buffer and move on — holding
-/// the lock across a blocked push would serialize every other farm task
-/// behind it. Because depositors return immediately (releasing their
-/// worker replica), the buffer is NOT bounded by the in-flight cap alone;
-/// the farm feeder bounds it by blocking in wait_backlog_below before
-/// forking more work. The resulting bound is counted in *batches*:
-/// roughly max(width, queue_capacity/batch) buffered plus up to `width`
-/// in-flight deposits — it cannot drop below `width` batches without
-/// idling replicas, so for wide farms the buffered output can exceed the
-/// per-queue item budget by about a factor of width·batch/queue_capacity.
-template <typename Out>
-class Reorderer {
- public:
-  bool emit(std::uint64_t seq, std::vector<Out> results, BoundedQueue<Out>& out,
-            task::ThreadPool& pool) {
-    std::unique_lock lock(mutex_);
-    buffer_.emplace(seq, std::move(results));
-    if (draining_) return true;  // the active drainer will pick it up
-    draining_ = true;
-    bool ok = true;
-    bool emitted = false;
-    while (ok && !buffer_.empty() && buffer_.begin()->first == next_) {
-      std::vector<Out> front = std::move(buffer_.begin()->second);
-      buffer_.erase(buffer_.begin());
-      ++next_;
-      emitted = true;
-      if (!front.empty()) {
-        lock.unlock();
-        ok = push_helping(out, std::move(front), pool);
-        lock.lock();
-      }
-    }
-    draining_ = false;
-    if (emitted) drained_.notify_all();
-    return ok;
-  }
-
-  /// Block (the farm feeder) until fewer than `bound` result batches are
-  /// buffered or `stop()` turns true (error shutdown). Uses a short timed
-  /// wait so a cancellation that bypasses the drain loop cannot strand the
-  /// feeder.
-  template <typename Stop>
-  void wait_backlog_below(std::size_t bound, const Stop& stop) {
-    std::unique_lock lock(mutex_);
-    while (buffer_.size() >= bound && !stop()) {
-      drained_.wait_for(lock, std::chrono::milliseconds(1));
-    }
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable drained_;
-  bool draining_ = false;
-  std::uint64_t next_ = 0;
-  std::map<std::uint64_t, std::vector<Out>> buffer_;
-};
-
-/// Deliver a worker's end-of-stream flush output in queue-batch-sized
-/// chunks; `deliver` returns false to stop early (cancelled shutdown).
+/// Deliver a worker's end-of-stream flush output in batch-sized chunks.
 template <typename Out, typename Deliver>
 void for_each_flush_chunk(std::vector<Out> flushed, std::size_t batch,
                           const Deliver& deliver) {
   for (std::size_t off = 0; off < flushed.size(); off += batch) {
     const std::size_t n = std::min(batch, flushed.size() - off);
-    std::vector<Out> chunk(
+    deliver(std::vector<Out>(
         std::make_move_iterator(flushed.begin() + static_cast<std::ptrdiff_t>(off)),
         std::make_move_iterator(flushed.begin() +
-                                static_cast<std::ptrdiff_t>(off + n)));
-    if (!deliver(std::move(chunk))) return;
+                                static_cast<std::ptrdiff_t>(off + n))));
   }
 }
 
@@ -519,16 +441,6 @@ struct WireHeader {
   std::uint64_t seq = 0;
   std::uint32_t flags = 0;
   std::uint32_t count = 0;
-};
-inline constexpr std::uint32_t kFlagEos = 1u;        ///< producer finished
-inline constexpr std::uint32_t kFlagUnordered = 2u;  ///< bypass resequencing
-
-template <typename Item>
-struct WireBatch {
-  std::uint64_t seq = 0;
-  std::uint32_t flags = 0;
-  int from = -1;  ///< producer rank (credit return address)
-  std::vector<Item> items;
 };
 
 template <typename Item>
@@ -545,8 +457,8 @@ std::vector<std::byte> pack_batch(std::uint64_t seq, std::uint32_t flags,
 }
 
 template <typename Item>
-WireBatch<Item> unpack_batch(const std::vector<std::byte>& bytes) {
-  WireBatch<Item> b;
+Batch<Item> unpack_batch(const std::vector<std::byte>& bytes) {
+  Batch<Item> b;
   WireHeader h;
   assert(bytes.size() >= sizeof h);
   std::memcpy(&h, bytes.data(), sizeof h);
@@ -665,14 +577,14 @@ class EdgeReceiver {
         eos_remaining_(producers_.size()),
         resequence_(resequence) {}
 
-  std::optional<WireBatch<Item>> recv() {
+  std::optional<Batch<Item>> recv() {
     for (;;) {
       // See EdgeSender::send: consumers observe cancellation between
       // batches; a consumer blocked waiting for data is released by the
       // accompanying abort instead.
       if (p_.cancelled()) throw mpl::JobCancelled{};
       if (resequence_ && !pending_.empty() && pending_.begin()->first == next_seq_) {
-        WireBatch<Item> b = std::move(pending_.begin()->second);
+        Batch<Item> b = std::move(pending_.begin()->second);
         pending_.erase(pending_.begin());
         ++next_seq_;
         return b;
@@ -683,7 +595,7 @@ class EdgeReceiver {
       }
       const int src = producers_.size() == 1 ? producers_[0] : mpl::kAnySource;
       auto [from, bytes] = p_.recv_any<std::byte>(src, data_tag_);
-      WireBatch<Item> b = unpack_batch<Item>(bytes);
+      Batch<Item> b = unpack_batch<Item>(bytes);
       b.from = from;
       if (b.flags & kFlagEos) {
         --eos_remaining_;
@@ -699,7 +611,7 @@ class EdgeReceiver {
   }
 
   /// Return the batch's credit to its producer (call after processing).
-  void ack(const WireBatch<Item>& b) {
+  void ack(const Batch<Item>& b) {
     p_.send_value<std::uint32_t>(b.from, credit_tag_, 1);
   }
 
@@ -711,7 +623,7 @@ class EdgeReceiver {
   std::size_t eos_remaining_;
   bool resequence_;
   std::uint64_t next_seq_ = 0;
-  std::map<std::uint64_t, WireBatch<Item>> pending_;
+  std::map<std::uint64_t, Batch<Item>> pending_;
 };
 
 /// Apply a stage/worker callable to every item of a batch, honoring
@@ -733,10 +645,6 @@ std::vector<Out> apply_batch(Fn& fn, std::vector<In> items) {
 }
 
 }  // namespace detail
-
-/// Configuration with env overrides (PPA_PIPELINE_QUEUE, PPA_PIPELINE_BATCH);
-/// see pipeline.cpp.
-[[nodiscard]] Config default_config();
 
 // ------------------------------------------------------------------ plan --
 
@@ -805,7 +713,7 @@ class Plan {
   /// replicas round-robin; farm flushes run at end-of-stream in pipeline
   /// and worker order.
   void run_sequential() {
-    auto states = make_seq_states(std::make_index_sequence<kMids>{});
+    auto states = make_replicas(std::make_index_sequence<kMids>{});
     while (auto item = src_.fn()) {
       feed_seq<0>(states, std::move(*item));
     }
@@ -814,9 +722,9 @@ class Plan {
 
   // --------------------------------------------------------- threaded --
 
-  RunStats run_threaded(Config cfg = default_config()) {
+  RunStats run_threaded(Config cfg = {}) {
     normalize(cfg);
-    return run_threaded_impl(cfg, std::make_index_sequence<kMids>{});
+    return run_threaded_impl(cfg, std::make_index_sequence<kEdges>{});
   }
 
   // ------------------------------------------------------------- SPMD --
@@ -824,7 +732,7 @@ class Plan {
   /// SPMD driver; call from every rank of the world (collectively). Ranks
   /// beyond ranks_required() idle through the run. Throws on every rank if
   /// the world is too small or an ordered farm feeds another farm.
-  void run_process(mpl::Process& p, Config cfg = default_config()) {
+  void run_process(mpl::Process& p, Config cfg = {}) {
     normalize(cfg);
     const auto widths = node_widths();
     validate_process_layout(widths);
@@ -879,7 +787,7 @@ class Plan {
   /// cancellation, stages blocked in credit or data waits release via the
   /// abort. A deadline counts from submission, queueing time included.
   mpl::TraceSnapshot run_engine(mpl::Scheduler& scheduler,
-                                Config cfg = default_config(), int nprocs = 0,
+                                Config cfg = {}, int nprocs = 0,
                                 mpl::Priority priority = mpl::Priority::kNormal,
                                 const mpl::JobOptions& options = {}) {
     if (nprocs <= 0) nprocs = ranks_required();
@@ -906,7 +814,8 @@ class Plan {
 
   void validate_process_layout(const std::vector<int>& widths) const {
     // Two wire-level constraints on ordered farms (both irrelevant to the
-    // threaded driver, whose reordering happens inside the farm node):
+    // threaded driver, whose channel orders an ordered farm's output at the
+    // producer side, by the stamps of the farm's own input channel):
     //
     //  * the successor must be a serial stage or the sink — resequencing
     //    needs a single consuming rank;
@@ -991,22 +900,24 @@ class Plan {
 
   // ------------------------------------------------- sequential driver --
 
+  /// A farm's worker replicas, one per slot (run_threaded), or dealt items
+  /// round-robin (run_sequential).
   template <typename W>
-  struct FarmSeqState {
+  struct FarmReplicas {
     std::vector<W> workers;
     std::uint64_t next = 0;
   };
 
   template <std::size_t... Is>
-  auto make_seq_states(std::index_sequence<Is...>) {
-    return std::make_tuple(make_seq_state<Is>()...);
+  auto make_replicas(std::index_sequence<Is...>) {
+    return std::make_tuple(make_replica_set<Is>()...);
   }
   template <std::size_t I>
-  auto make_seq_state() {
+  auto make_replica_set() {
     if constexpr (detail::is_farm_node<mid_t<I>>) {
       auto& node = std::get<I>(mids_);
       using W = detail::farm_worker_t<decltype(node.make_worker)>;
-      FarmSeqState<W> state;
+      FarmReplicas<W> state;
       state.workers.reserve(static_cast<std::size_t>(node.width));
       for (int k = 0; k < node.width; ++k) state.workers.push_back(node.make_worker());
       return state;
@@ -1060,154 +971,132 @@ class Plan {
     }
   }
 
+  // -------------------------------------------------------- node roles --
+  //
+  // Each role is one loop over the edge concept (see the file comment):
+  // `rx` is the node's input edge and `tx` its output edge, a Channel under
+  // run_threaded and an EdgeReceiver/EdgeSender under run_process.
+
+  template <typename Tx>
+  void source_role(const Config& cfg, Tx& tx) {
+    std::vector<SrcItem> acc;
+    acc.reserve(cfg.batch);
+    std::uint64_t seq = 0;
+    while (auto item = src_.fn()) {
+      acc.push_back(std::move(*item));
+      if (acc.size() >= cfg.batch) {
+        tx.send(seq++, 0, std::move(acc));
+        acc.clear();
+        acc.reserve(cfg.batch);
+      }
+    }
+    if (!acc.empty()) tx.send(seq++, 0, std::move(acc));
+    tx.send_eos();
+  }
+
+  /// Mid node I: a serial stage (`fn` is its callable) or one farm replica
+  /// (`fn` is the replica's own worker, flushed once at end of stream).
+  template <std::size_t I, typename Fn, typename Rx, typename Tx>
+  void mid_role(const Config& cfg, Fn& fn, Rx& rx, Tx& tx) {
+    using Out = edge_t<I + 1>;
+    // An ordered farm sends a batch for every input seq, even an empty one,
+    // and so does every node upstream of it: its reordering point needs the
+    // numbering contiguous. Elsewhere an empty result sends nothing.
+    const bool keep_empties = is_ordered<I>() || ordered_farm_after(I);
+    while (auto b = rx.recv()) {
+      auto results = detail::apply_batch<Out>(fn, std::move(b->items));
+      if (keep_empties || !results.empty()) {
+        tx.send(b->seq, b->flags & detail::kFlagUnordered, std::move(results));
+      }
+      rx.ack(*b);
+    }
+    if constexpr (detail::is_farm_node<mid_t<I>>) {
+      detail::assert_flush_signature<Fn, Out>();
+      if constexpr (detail::HasFlush<Fn, Out>) {
+        detail::for_each_flush_chunk(fn.flush(), cfg.batch, [&](std::vector<Out> chunk) {
+          tx.send(0, detail::kFlagUnordered, std::move(chunk));
+        });
+      }
+    }
+    tx.send_eos();
+  }
+
+  template <typename Rx>
+  void sink_role(Rx& rx) {
+    while (auto b = rx.recv()) {
+      for (auto& item : b->items) sink_.fn(std::move(item));
+      rx.ack(*b);
+    }
+  }
+
+  /// Is edge E's producer an ordered farm? Its Channel then admits in
+  /// order, and its EdgeReceiver resequences.
+  template <std::size_t E>
+  [[nodiscard]] bool edge_from_ordered_farm() const {
+    if constexpr (E == 0) {
+      return false;
+    } else {
+      return is_ordered<E - 1>();
+    }
+  }
+
   // --------------------------------------------------- threaded driver --
 
-  template <std::size_t... Is>
-  RunStats run_threaded_impl(const Config& cfg, std::index_sequence<Is...>) {
-    std::tuple<detail::BoundedQueue<edge_t<Is>>..., detail::BoundedQueue<edge_t<kMids>>>
-        queues{((void)Is, cfg.queue_capacity)..., cfg.queue_capacity};
+  /// One jthread per slot of node_widths() and one Channel per edge. Farm
+  /// workers are made here, on the calling thread; replica slot k owns
+  /// worker k.
+  template <std::size_t... Es>
+  RunStats run_threaded_impl(const Config& cfg, std::index_sequence<Es...>) {
+    const auto widths = node_widths();
+    std::tuple<detail::Channel<edge_t<Es>>...> channels{detail::ChannelShape{
+        cfg.queue_capacity, widths[Es], edge_from_ordered_farm<Es>()}...};
+    auto replicas = make_replicas(std::make_index_sequence<kMids>{});
     detail::ErrorSlot error;
-    const auto cancel_all = [&queues] {
-      std::apply([](auto&... q) { (q.cancel(), ...); }, queues);
-    };
+    const auto cancel_all = [&] { (std::get<Es>(channels).cancel(), ...); };
     {
       std::vector<std::jthread> threads;
-      threads.reserve(kNodes);
-      threads.emplace_back([&] { source_loop(cfg, std::get<0>(queues), error, cancel_all); });
-      (threads.emplace_back([&] {
-        mid_loop<Is>(cfg, std::get<Is>(queues), std::get<Is + 1>(queues), error,
-                     cancel_all);
-      }),
-       ...);
-      threads.emplace_back([&] {
-        sink_loop(std::get<kMids>(queues), error, cancel_all);
-      });
-    }  // jthreads join
-    error.rethrow_if_set();
-    RunStats stats;
-    stats.queues.reserve(kEdges);
-    std::apply([&stats](auto&... q) { (stats.queues.push_back(q.stats()), ...); },
-               queues);
-    return stats;
-  }
-
-  template <typename Cancel>
-  void source_loop(const Config& cfg, detail::BoundedQueue<SrcItem>& out,
-                   detail::ErrorSlot& error, const Cancel& cancel_all) {
-    try {
-      std::vector<SrcItem> acc;
-      acc.reserve(cfg.batch);
-      while (auto item = src_.fn()) {
-        acc.push_back(std::move(*item));
-        if (acc.size() >= cfg.batch) {
-          if (!out.push(std::move(acc))) break;
-          acc = {};
-          acc.reserve(cfg.batch);
-        }
-      }
-      if (!acc.empty()) out.push(std::move(acc));
-    } catch (...) {
-      error.record(std::current_exception());
-      cancel_all();
-    }
-    out.close();
-  }
-
-  template <std::size_t I, typename Cancel>
-  void mid_loop(const Config& cfg, detail::BoundedQueue<edge_t<I>>& in,
-                detail::BoundedQueue<edge_t<I + 1>>& out, detail::ErrorSlot& error,
-                const Cancel& cancel_all) {
-    if constexpr (detail::is_farm_node<mid_t<I>>) {
-      farm_loop<I>(cfg, in, out, error, cancel_all);
-    } else {
-      try {
-        while (auto batch = in.pop()) {
-          auto results = detail::apply_batch<edge_t<I + 1>>(std::get<I>(mids_).fn,
-                                                            std::move(*batch));
-          if (!results.empty() && !out.push(std::move(results))) break;
-        }
-      } catch (...) {
-        error.record(std::current_exception());
-        cancel_all();
-      }
-      out.close();
-    }
-  }
-
-  template <std::size_t I, typename Cancel>
-  void farm_loop(const Config& cfg, detail::BoundedQueue<edge_t<I>>& in,
-                 detail::BoundedQueue<edge_t<I + 1>>& out, detail::ErrorSlot& error,
-                 const Cancel& cancel_all) {
-    using Out = edge_t<I + 1>;
-    auto& node = std::get<I>(mids_);
-    using W = detail::farm_worker_t<decltype(node.make_worker)>;
-    try {
-      std::vector<W> workers;
-      workers.reserve(static_cast<std::size_t>(node.width));
-      for (int k = 0; k < node.width; ++k) workers.push_back(node.make_worker());
-      detail::WorkerCheckout checkout(static_cast<std::size_t>(node.width));
-      detail::Reorderer<Out> reorder;
-      task::TaskGroup group;
-      task::ThreadPool& pool = group.pool();
-      // Bound on result batches parked in the reorderer awaiting their
-      // turn: without it a blocked drainer would let completed batches
-      // accumulate without limit while replicas keep being recycled.
-      const std::size_t backlog_bound =
-          std::max<std::size_t>(static_cast<std::size_t>(node.width),
-                                std::max<std::size_t>(1, cfg.queue_capacity / cfg.batch));
-      std::uint64_t seq = 0;
-      while (auto batch = in.pop()) {
-        if (error.set()) break;
-        if (node.ordered) {
-          reorder.wait_backlog_below(backlog_bound, [&] { return error.set(); });
-        }
-        const std::uint64_t s = seq++;
-        const std::size_t wi = checkout.acquire();
-        group.run([this, &node, &workers, &checkout, &reorder, &out, &error,
-                   &cancel_all, &pool, wi, s, b = std::move(*batch)]() mutable {
+      threads.reserve(static_cast<std::size_t>(ranks_required()));
+      const auto spawn = [&](auto role) {
+        threads.emplace_back([&error, &cancel_all, role] {
           try {
-            auto results = detail::apply_batch<Out>(workers[wi], std::move(b));
-            if (node.ordered) {
-              reorder.emit(s, std::move(results), out, pool);
-            } else if (!results.empty()) {
-              detail::push_helping(out, std::move(results), pool);
-            }
+            role();
           } catch (...) {
             error.record(std::current_exception());
             cancel_all();
           }
-          checkout.release(wi);
         });
+      };
+      try {
+        spawn([&] { source_role(cfg, std::get<0>(channels)); });
+        [&]<std::size_t... Is>(std::index_sequence<Is...>) {
+          ([&] {
+             for (int k = 0; k < widths[Is + 1]; ++k) {
+               spawn([&, k] {
+                 mid_role<Is>(cfg, slot_fn<Is>(replicas, k), std::get<Is>(channels),
+                              std::get<Is + 1>(channels));
+               });
+             }
+           }(),
+           ...);
+        }(std::make_index_sequence<kMids>{});
+        spawn([&] { sink_role(std::get<kMids>(channels)); });
+      } catch (...) {  // a slot thread failed to start
+        error.record(std::current_exception());
+        cancel_all();
       }
-      group.wait();  // drain in-flight farm tasks before shutdown
-      detail::assert_flush_signature<W, Out>();
-      if (!error.set()) {
-        if constexpr (detail::HasFlush<W, Out>) {
-          for (auto& worker : workers) {
-            detail::for_each_flush_chunk(
-                worker.flush(), cfg.batch, [&](std::vector<Out> chunk) {
-                  return detail::push_helping(out, std::move(chunk), pool);
-                });
-          }
-        }
-      }
-    } catch (...) {
-      error.record(std::current_exception());
-      cancel_all();
-    }
-    out.close();
+    }  // jthreads join
+    error.rethrow_if_set();
+    return RunStats{{std::get<Es>(channels).stats()...}};
   }
 
-  template <typename Cancel>
-  void sink_loop(detail::BoundedQueue<edge_t<kMids>>& in, detail::ErrorSlot& error,
-                 const Cancel& cancel_all) {
-    try {
-      while (auto batch = in.pop()) {
-        for (auto& item : *batch) sink_.fn(std::move(item));
-      }
-    } catch (...) {
-      error.record(std::current_exception());
-      cancel_all();
+  /// What slot k of mid node I runs: the stage callable, or farm replica
+  /// k's worker.
+  template <std::size_t I, typename Replicas>
+  auto& slot_fn(Replicas& replicas, int k) {
+    if constexpr (detail::is_farm_node<mid_t<I>>) {
+      return std::get<I>(replicas).workers[static_cast<std::size_t>(k)];
+    } else {
+      return std::get<I>(mids_).fn;
     }
   }
 
@@ -1245,117 +1134,47 @@ class Plan {
   }
 
   /// Build the sender for edge E (producer: node E, consumer: node E+1).
-  template <std::size_t E, typename Item>
-  detail::EdgeSender<Item> make_sender(mpl::Process& p, const Config& cfg,
-                                       const std::vector<int>& widths,
-                                       const std::vector<int>& base, int tag_base) {
-    return detail::EdgeSender<Item>(
+  template <std::size_t E>
+  detail::EdgeSender<edge_t<E>> make_sender(mpl::Process& p, const Config& cfg,
+                                            const std::vector<int>& widths,
+                                            const std::vector<int>& base,
+                                            int tag_base) {
+    return detail::EdgeSender<edge_t<E>>(
         p, tag_base + 2 * static_cast<int>(E), tag_base + 2 * static_cast<int>(E) + 1,
         node_ranks(widths, base, E + 1), pair_credit(cfg, widths[E], widths[E + 1]));
   }
-  /// Build the receiver for edge E; resequences if the producer node is an
-  /// ordered farm.
-  template <std::size_t E, typename Item>
-  detail::EdgeReceiver<Item> make_receiver(mpl::Process& p,
-                                           const std::vector<int>& widths,
-                                           const std::vector<int>& base,
-                                           int tag_base) {
-    bool resequence = false;
-    if constexpr (E >= 1) {
-      resequence = is_ordered<E - 1>();
-    }
-    return detail::EdgeReceiver<Item>(p, tag_base + 2 * static_cast<int>(E),
-                                      tag_base + 2 * static_cast<int>(E) + 1,
-                                      node_ranks(widths, base, E), resequence);
+  /// Build the receiver for edge E.
+  template <std::size_t E>
+  detail::EdgeReceiver<edge_t<E>> make_receiver(mpl::Process& p,
+                                                const std::vector<int>& widths,
+                                                const std::vector<int>& base,
+                                                int tag_base) {
+    return detail::EdgeReceiver<edge_t<E>>(
+        p, tag_base + 2 * static_cast<int>(E), tag_base + 2 * static_cast<int>(E) + 1,
+        node_ranks(widths, base, E), edge_from_ordered_farm<E>());
   }
 
+  /// This rank's slot of node J: build its edges, then run the role.
   template <std::size_t J>
   void run_node_role(mpl::Process& p, const Config& cfg,
                      const std::vector<int>& widths, const std::vector<int>& base,
                      int tag_base) {
     if constexpr (J == 0) {
-      run_source_role(p, cfg, widths, base, tag_base);
+      auto tx = make_sender<0>(p, cfg, widths, base, tag_base);
+      source_role(cfg, tx);
     } else if constexpr (J == kNodes - 1) {
-      run_sink_role(p, widths, base, tag_base);
+      auto rx = make_receiver<kMids>(p, widths, base, tag_base);
+      sink_role(rx);
     } else {
-      run_mid_role<J - 1>(p, cfg, widths, base, tag_base);
-    }
-  }
-
-  void run_source_role(mpl::Process& p, const Config& cfg,
-                       const std::vector<int>& widths, const std::vector<int>& base,
-                       int tag_base) {
-    auto tx = make_sender<0, SrcItem>(p, cfg, widths, base, tag_base);
-    std::vector<SrcItem> acc;
-    acc.reserve(cfg.batch);
-    std::uint64_t seq = 0;
-    while (auto item = src_.fn()) {
-      acc.push_back(std::move(*item));
-      if (acc.size() >= cfg.batch) {
-        tx.send(seq++, 0, acc);
-        acc.clear();
+      auto rx = make_receiver<J - 1>(p, widths, base, tag_base);
+      auto tx = make_sender<J>(p, cfg, widths, base, tag_base);
+      auto& node = std::get<J - 1>(mids_);
+      if constexpr (detail::is_farm_node<mid_t<J - 1>>) {
+        auto worker = node.make_worker();
+        mid_role<J - 1>(cfg, worker, rx, tx);
+      } else {
+        mid_role<J - 1>(cfg, node.fn, rx, tx);
       }
-    }
-    if (!acc.empty()) tx.send(seq++, 0, acc);
-    tx.send_eos();
-  }
-
-  template <std::size_t I>
-  void run_mid_role(mpl::Process& p, const Config& cfg,
-                    const std::vector<int>& widths, const std::vector<int>& base,
-                    int tag_base) {
-    using In = edge_t<I>;
-    using Out = edge_t<I + 1>;
-    auto rx = make_receiver<I, In>(p, widths, base, tag_base);
-    auto tx = make_sender<I + 1, Out>(p, cfg, widths, base, tag_base);
-    if constexpr (detail::is_farm_node<mid_t<I>>) {
-      auto& node = std::get<I>(mids_);
-      using W = detail::farm_worker_t<decltype(node.make_worker)>;
-      W worker = node.make_worker();
-      while (auto b = rx.recv()) {
-        auto results = detail::apply_batch<Out>(worker, std::move(b->items));
-        // An ordered farm forwards even empty batches — its consumer needs
-        // contiguous sequence numbers to resequence. On unordered edges an
-        // empty result (a fully filtering worker) sends nothing.
-        if (node.ordered || !results.empty()) {
-          tx.send(b->seq, b->flags & detail::kFlagUnordered, results);
-        }
-        rx.ack(*b);
-      }
-      detail::assert_flush_signature<W, Out>();
-      if constexpr (detail::HasFlush<W, Out>) {
-        detail::for_each_flush_chunk(worker.flush(), cfg.batch,
-                                     [&](std::vector<Out> chunk) {
-                                       tx.send(0, detail::kFlagUnordered, chunk);
-                                       return true;
-                                     });
-      }
-      tx.send_eos();
-    } else {
-      auto& node = std::get<I>(mids_);
-      // With an ordered farm anywhere downstream, every source seq must
-      // keep traveling — the farm's output resequencer needs the numbering
-      // contiguous — so a batch filtered to empty is still forwarded.
-      // Otherwise empties can be dropped here.
-      const bool keep_empties = ordered_farm_after(I);
-      while (auto b = rx.recv()) {
-        auto results = detail::apply_batch<Out>(node.fn, std::move(b->items));
-        if (keep_empties || !results.empty()) {
-          tx.send(b->seq, b->flags & detail::kFlagUnordered, results);
-        }
-        rx.ack(*b);
-      }
-      tx.send_eos();
-    }
-  }
-
-  void run_sink_role(mpl::Process& p, const std::vector<int>& widths,
-                     const std::vector<int>& base, int tag_base) {
-    using In = edge_t<kMids>;
-    auto rx = make_receiver<kMids, In>(p, widths, base, tag_base);
-    while (auto b = rx.recv()) {
-      for (auto& item : b->items) sink_.fn(std::move(item));
-      rx.ack(*b);
     }
   }
 

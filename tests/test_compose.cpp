@@ -366,6 +366,40 @@ TEST(Compose, FailingHostedJobFailsOnlyItsGraphRun) {
   EXPECT_GT(stats.completed, 0u);
 }
 
+TEST(Compose, SchedulerRunReleasesOrderedFarmWaitsOnFailure) {
+  // The threaded-cancellation shape through run_scheduler: an ordered
+  // farm(4) behind two-item channels, one item per batch, whose replica
+  // holding item 0 turns slow, and a sink that throws mid-stream. The run
+  // rethrows once and returns, and the scheduler keeps serving.
+  struct SlowAfterFirstItem {
+    bool slow = false;
+    long operator()(long v) {
+      if (v == 0) slow = true;
+      if (slow) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return v;
+    }
+  };
+  auto sched = make_scheduler(2);
+  auto g = counting_source(1000) |
+           compose::farm(4, [] { return SlowAfterFirstItem{}; }, compose::ordered) |
+           compose::sink([](long v) {
+             if (v == 40) throw std::runtime_error("sink failure");
+           });
+  int caught = 0;
+  try {
+    (void)g.run_scheduler(*sched, compose::Config{.queue_capacity = 2, .batch = 1});
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "sink failure");
+    ++caught;
+  }
+  EXPECT_EQ(caught, 1);
+  std::vector<long> out;
+  auto ok = counting_source(5) | compose::engine_job(2, hosted_ranksum) |
+            compose::sink([&out](long v) { out.push_back(v); });
+  (void)ok.run_scheduler(*sched);
+  EXPECT_EQ(out.size(), 5u);
+}
+
 TEST(Compose, FailingHostedJobFailsInlineDriversToo) {
   const auto make = [] {
     return counting_source(10) |

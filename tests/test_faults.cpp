@@ -272,7 +272,7 @@ TEST(JobControl, PipelineCancellationPropagatesThroughCreditWaits) {
     std::this_thread::sleep_for(50ms);
     cancel.cancel();
   });
-  EXPECT_THROW(plan.run_engine(sched, pipeline::default_config(), 0,
+  EXPECT_THROW(plan.run_engine(sched, pipeline::Config{}, 0,
                                Priority::kNormal,
                                JobOptions{.cancel = cancel.token()}),
                JobCancelled);
@@ -467,7 +467,7 @@ TEST(FaultSoak, MixedJobsUnderRandomizedPlansLeaveEngineClean) {
                       }) |
                       pipeline::stage([](int v) { return v + 1; }) |
                       pipeline::sink([&](int v) { total += v; });
-            pl.run_engine(sched, pipeline::default_config(), 0,
+            pl.run_engine(sched, pipeline::Config{}, 0,
                           Priority::kNormal, options);
             break;
           }

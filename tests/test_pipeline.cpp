@@ -354,6 +354,85 @@ TEST(Pipeline, FarmIntoFarmDoesNotDeadlockUnderTinyQueues) {
   for (const auto& q : stats.queues) EXPECT_LE(q.high_water, q.capacity);
 }
 
+TEST(Pipeline, ThreadedFarmRunsEveryReplicaAtOnce) {
+  // run_threaded gives each farm replica its own slot thread, so a farm
+  // wider than the machine still has all of its replicas active at once.
+  // Each replica's first item waits (at most 2 s) until all W are active.
+  const int width = static_cast<int>(
+      std::min(std::thread::hardware_concurrency() + 2, 16u));
+  std::atomic<int> active{0};
+  std::atomic<int> peak{0};
+  struct Replica {
+    std::atomic<int>* active;
+    std::atomic<int>* peak;
+    int width;
+    bool first = true;
+    long operator()(long v) {
+      if (!first) return v;
+      first = false;
+      const int now = active->fetch_add(1) + 1;
+      int seen = peak->load();
+      while (now > seen && !peak->compare_exchange_weak(seen, now)) {
+      }
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (peak->load() < width && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      active->fetch_sub(1);
+      return v;
+    }
+  };
+  const long n = 4L * width;
+  long sum = 0;
+  auto plan = counting_source(n) |
+              pipeline::farm(
+                  width, [&] { return Replica{&active, &peak, width}; },
+                  pipeline::unordered) |
+              pipeline::sink([&sum](long v) { sum += v; });
+  pipeline::Config cfg;
+  cfg.queue_capacity = static_cast<std::size_t>(width);
+  cfg.batch = 1;
+  (void)plan.run_threaded(cfg);
+  EXPECT_EQ(sum, n * (n - 1) / 2);
+  EXPECT_EQ(peak.load(), width);
+}
+
+/// Ordered-farm worker that turns slow for good once it holds item 0, so
+/// its peers keep parking on their admission turn behind it.
+struct SlowAfterFirstItem {
+  bool slow = false;
+  long operator()(long v) {
+    if (v == 0) slow = true;
+    if (slow) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return v;
+  }
+};
+
+TEST(Pipeline, CancellationReleasesEveryThreadedWait) {
+  // Two-item channels and one item per batch: while the slow replica holds
+  // the turn, its peers wait for their turn or for space and the source
+  // waits on a full channel. The sink then throws mid-stream; cancellation
+  // must release every one of those waits, so the run rethrows once and
+  // returns.
+  auto plan = counting_source(1000) |
+              pipeline::farm(4, [] { return SlowAfterFirstItem{}; },
+                             pipeline::ordered) |
+              pipeline::sink([](long v) {
+                if (v == 40) throw std::runtime_error("sink failure");
+              });
+  pipeline::Config cfg;
+  cfg.queue_capacity = 2;
+  cfg.batch = 1;
+  int caught = 0;
+  try {
+    (void)plan.run_threaded(cfg);
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "sink failure");
+    ++caught;
+  }
+  EXPECT_EQ(caught, 1);
+}
+
 // ------------------------------------------------------- backpressure -----
 
 TEST(Pipeline, BackpressureBoundsQueueOccupancy) {
