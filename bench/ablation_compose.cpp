@@ -180,7 +180,9 @@ int main() {
                return v + 1;
              }) |
              compose::sink([&composed_seen](long v) { composed_seen += v; });
-    (void)g.run_scheduler(*sched);
+    // One item per batch: with the default batch the whole stream would
+    // cross each edge as one batch and the two stages could never overlap.
+    (void)g.run_scheduler(*sched, compose::Config{.batch = 1});
   });
 
   long serial_seen = 0;

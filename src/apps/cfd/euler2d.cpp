@@ -19,17 +19,13 @@ double sound_speed(const EulerState& s, double gamma) {
   return std::sqrt(gamma * pressure(s, gamma) / s.rho);
 }
 
-/// Physical flux in x.
-EulerState flux_x(const EulerState& s, double gamma) {
-  const double u = s.mx / s.rho;
-  const double p = pressure(s, gamma);
+/// Physical flux in x from a cell's state, x velocity `u` and pressure `p`.
+EulerState flux_x(const EulerState& s, double u, double p) {
   return {s.mx, s.mx * u + p, s.my * u, (s.E + p) * u};
 }
 
-/// Physical flux in y.
-EulerState flux_y(const EulerState& s, double gamma) {
-  const double v = s.my / s.rho;
-  const double p = pressure(s, gamma);
+/// Physical flux in y from a cell's state, y velocity `v` and pressure `p`.
+EulerState flux_y(const EulerState& s, double v, double p) {
   return {s.my, s.mx * v, s.my * v + p, (s.E + p) * v};
 }
 
@@ -37,59 +33,15 @@ EulerState axpy(const EulerState& a, const EulerState& b, double c) {
   return {a.rho + c * b.rho, a.mx + c * b.mx, a.my + c * b.my, a.E + c * b.E};
 }
 
-/// Rusanov numerical flux through the face between `l` and `r` along x.
-EulerState rusanov_x(const EulerState& l, const EulerState& r, double gamma) {
-  const double sl = std::abs(l.mx / l.rho) + sound_speed(l, gamma);
-  const double sr = std::abs(r.mx / r.rho) + sound_speed(r, gamma);
+/// Rusanov numerical flux through the face between `l` and `r`, given each
+/// side's wave speed (|normal velocity| + sound speed) and physical flux.
+EulerState rusanov(const EulerState& l, const EulerState& r, double sl,
+                   double sr, const EulerState& fl, const EulerState& fr) {
   const double smax = std::max(sl, sr);
-  const EulerState fl = flux_x(l, gamma);
-  const EulerState fr = flux_x(r, gamma);
   return {0.5 * (fl.rho + fr.rho) - 0.5 * smax * (r.rho - l.rho),
           0.5 * (fl.mx + fr.mx) - 0.5 * smax * (r.mx - l.mx),
           0.5 * (fl.my + fr.my) - 0.5 * smax * (r.my - l.my),
           0.5 * (fl.E + fr.E) - 0.5 * smax * (r.E - l.E)};
-}
-
-/// Rusanov numerical flux along y.
-EulerState rusanov_y(const EulerState& l, const EulerState& r, double gamma) {
-  const double sl = std::abs(l.my / l.rho) + sound_speed(l, gamma);
-  const double sr = std::abs(r.my / r.rho) + sound_speed(r, gamma);
-  const double smax = std::max(sl, sr);
-  const EulerState fl = flux_y(l, gamma);
-  const EulerState fr = flux_y(r, gamma);
-  return {0.5 * (fl.rho + fr.rho) - 0.5 * smax * (r.rho - l.rho),
-          0.5 * (fl.mx + fr.mx) - 0.5 * smax * (r.mx - l.mx),
-          0.5 * (fl.my + fr.my) - 0.5 * smax * (r.my - l.my),
-          0.5 * (fl.E + fr.E) - 0.5 * smax * (r.E - l.E)};
-}
-
-/// One row of the flux-differenced update: each cell reads its 5-point
-/// neighborhood of `u` and writes `unew`. The row base pointers are hoisted
-/// and the y-face flux is carried across the row (fym of cell j+1 is fyp of
-/// cell j — the Rusanov flux is a pure function of its two states, so the
-/// carry is bitwise-identical to recomputing while saving a quarter of the
-/// flux evaluations).
-void flux_update_row(const mesh::Grid2D<EulerState>& u,
-                     mesh::Grid2D<EulerState>& unew, double gamma,
-                     std::ptrdiff_t i, std::ptrdiff_t j0, std::ptrdiff_t j1,
-                     double cx, double cy) {
-  const EulerState* PPA_RESTRICT um = u.row(i - 1);
-  const EulerState* uc = u.row(i);
-  const EulerState* PPA_RESTRICT up = u.row(i + 1);
-  EulerState* PPA_RESTRICT out = unew.row(i);
-  EulerState fym = rusanov_y(uc[j0 - 1], uc[j0], gamma);
-  for (std::ptrdiff_t j = j0; j < j1; ++j) {
-    const EulerState fxm = rusanov_x(um[j], uc[j], gamma);
-    const EulerState fxp = rusanov_x(uc[j], up[j], gamma);
-    const EulerState fyp = rusanov_y(uc[j], uc[j + 1], gamma);
-    EulerState s = uc[j];
-    s = axpy(s, fxp, -cx);
-    s = axpy(s, fxm, +cx);
-    s = axpy(s, fyp, -cy);
-    s = axpy(s, fym, +cy);
-    out[j] = s;
-    fym = fyp;
-  }
 }
 
 /// Local max wave speed over one grid's interior (row pointers hoisted;
@@ -157,7 +109,13 @@ CfdSim::CfdSim(mpl::Process& p, const mesh::BlockLayout2D& layout,
                            cfg.gamma)),
       // The Rusanov stencil is 5-point (no corner-ghost reads), so the
       // plan skips the diagonal strips.
-      plan_(u_) {}
+      plan_(u_) {
+  std::size_t width = 0;
+  for (const auto& b : u_) width = std::max(width, b.grid().ny());
+  prim_cur_.resize(width + 2);
+  prim_next_.resize(width + 2);
+  xface_.resize(width + 2);
+}
 
 void CfdSim::set_state(
     const std::function<EulerState(std::size_t, std::size_t)>& fn) {
@@ -198,6 +156,77 @@ void CfdSim::apply_physical_bcs() {
   }
 }
 
+void CfdSim::flux_update(const mesh::Grid2D<EulerState>& u,
+                         mesh::Grid2D<EulerState>& unew, mesh::Region2 rect,
+                         double cx, double cy) {
+  if (rect.empty()) return;
+  const double gamma = cfg_.gamma;
+  // Columns [j0 - 1, j1] of the region's rows map to k in [0, n + 1].
+  const std::ptrdiff_t n = rect.j1 - rect.j0;
+  const std::ptrdiff_t off = rect.j0 - 1;
+  CellPrim* cur = prim_cur_.data();
+  CellPrim* next = prim_next_.data();
+  EulerState* PPA_RESTRICT fx = xface_.data();
+  const auto prims = [gamma](const EulerState* PPA_RESTRICT s,
+                             CellPrim* PPA_RESTRICT w, std::ptrdiff_t k0,
+                             std::ptrdiff_t k1) {
+    for (std::ptrdiff_t k = k0; k < k1; ++k) {
+      const EulerState& q = s[k];
+      const double p = pressure(q, gamma);
+      w[k] = {q.mx / q.rho, q.my / q.rho, p, std::sqrt(gamma * p / q.rho)};
+    }
+  };
+  const auto face_x = [](const EulerState& l, const CellPrim& wl,
+                         const EulerState& r, const CellPrim& wr) {
+    return rusanov(l, r, std::abs(wl.u) + wl.c, std::abs(wr.u) + wr.c,
+                   flux_x(l, wl.u, wl.p), flux_x(r, wr.u, wr.p));
+  };
+  const auto face_y = [](const EulerState& l, const CellPrim& wl,
+                         const EulerState& r, const CellPrim& wr) {
+    return rusanov(l, r, std::abs(wl.v) + wl.c, std::abs(wr.v) + wr.c,
+                   flux_y(l, wl.v, wl.p), flux_y(r, wr.v, wr.p));
+  };
+
+  // x faces above the first row. Rows outside the region feed only x
+  // faces, so only their columns [j0, j1) are read.
+  {
+    const EulerState* PPA_RESTRICT um = u.row(rect.i0 - 1) + off;
+    const EulerState* PPA_RESTRICT uc = u.row(rect.i0) + off;
+    prims(um, next, 1, n + 1);
+    prims(uc, cur, 0, n + 2);
+    for (std::ptrdiff_t k = 1; k <= n; ++k) {
+      fx[k] = face_x(um[k], next[k], uc[k], cur[k]);
+    }
+  }
+  for (std::ptrdiff_t i = rect.i0; i < rect.i1; ++i) {
+    const EulerState* PPA_RESTRICT uc = u.row(i) + off;
+    const EulerState* PPA_RESTRICT up = u.row(i + 1) + off;
+    EulerState* PPA_RESTRICT out = unew.row(i) + off;
+    const CellPrim* PPA_RESTRICT wc = cur;
+    CellPrim* PPA_RESTRICT wp = next;
+    if (i + 1 < rect.i1) {
+      prims(up, wp, 0, n + 2);
+    } else {
+      prims(up, wp, 1, n + 1);
+    }
+    EulerState fym = face_y(uc[0], wc[0], uc[1], wc[1]);
+    for (std::ptrdiff_t k = 1; k <= n; ++k) {
+      const EulerState fxm = fx[k];
+      const EulerState fxp = face_x(uc[k], wc[k], up[k], wp[k]);
+      const EulerState fyp = face_y(uc[k], wc[k], uc[k + 1], wc[k + 1]);
+      EulerState s = uc[k];
+      s = axpy(s, fxp, -cx);
+      s = axpy(s, fxm, +cx);
+      s = axpy(s, fyp, -cy);
+      s = axpy(s, fym, +cy);
+      out[k] = s;
+      fx[k] = fxp;
+      fym = fyp;
+    }
+    std::swap(cur, next);
+  }
+}
+
 double CfdSim::step() {
   // 1. Begin the shadow-copy refresh (y is always periodic in this code);
   // the halo messages stay in flight through steps 2 and 3a.
@@ -219,25 +248,29 @@ double CfdSim::step() {
   // 3b: complete the exchange, fill physical BCs, then sweep the rims.
   const double cx = dt / dx_;
   const double cy = dt / dy_;
-  const auto sweep = [&](std::size_t b, bool rim) {
+  for (std::size_t b = 0; b < u_.size(); ++b) {
+    const auto& ug = u_.block(b).grid();
+    flux_update(ug, unew_.block(b).grid(),
+                mesh::core_region(ug, 1, mesh::interior_region(ug)), cx, cy);
+  }
+  plan_.end_exchange_all(p_, u_);
+  apply_physical_bcs();
+  for (std::size_t b = 0; b < u_.size(); ++b) {
     const auto& ug = u_.block(b).grid();
     auto& ng = unew_.block(b).grid();
     const mesh::Region2 all = mesh::interior_region(ug);
     const mesh::Region2 core = mesh::core_region(ug, 1, all);
-    const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                          std::ptrdiff_t j1) {
-      flux_update_row(ug, ng, cfg_.gamma, i, j0, j1, cx, cy);
-    };
-    if (rim) {
-      mesh::kern::sweep_rim_rows(all, core, rows);
-    } else {
-      mesh::kern::sweep_rows(core, rows);
+    if (core.empty()) {
+      flux_update(ug, ng, all, cx, cy);
+      continue;
     }
-  };
-  for (std::size_t b = 0; b < u_.size(); ++b) sweep(b, /*rim=*/false);
-  plan_.end_exchange_all(p_, u_);
-  apply_physical_bcs();
-  for (std::size_t b = 0; b < u_.size(); ++b) sweep(b, /*rim=*/true);
+    // The rim as four rectangles: top rows, bottom rows, left and right
+    // strips beside the core.
+    flux_update(ug, ng, {all.i0, core.i0, all.j0, all.j1}, cx, cy);
+    flux_update(ug, ng, {core.i1, all.i1, all.j0, all.j1}, cx, cy);
+    flux_update(ug, ng, {core.i0, core.i1, all.j0, core.j0}, cx, cy);
+    flux_update(ug, ng, {core.i0, core.i1, core.j1, all.j1}, cx, cy);
+  }
 
   // 4. Swap current and next states.
   std::swap(u_, unew_);

@@ -8,7 +8,17 @@
 // Physics: compressible Euler equations, conserved variables
 // U = (rho, rho*u, rho*v, E), ideal gas p = (gamma-1)(E - rho(u^2+v^2)/2).
 // Numerics: finite volume with Rusanov (local Lax-Friedrichs) fluxes,
-// dimension-by-dimension, CFL-limited explicit Euler stepping.
+// dimension-by-dimension, CFL-limited explicit Euler stepping. The flux
+// update sweeps a rectangle of a block row by row with its own kernel
+// (not kern::sweep_rim_rows): each cell's velocity, pressure and sound
+// speed are computed once into a rolling row buffer, each x-face flux is
+// carried from one row to the next and each y-face flux along the row, so
+// every face flux is evaluated once. A face flux is the same pure function
+// of its two states wherever it is evaluated, so the result is bitwise the
+// per-cell form (tests/seq_oracles.hpp) under any decomposition. The
+// ghost-independent core is one rectangle; the rim is at most four (top
+// rows, bottom rows, left and right strips), or the whole block when its
+// core is empty.
 //
 // Archetype structure per step (the mesh pattern, split-phase):
 //   1. begin the halo exchange (one batched BlockExchangePlan2D round over
@@ -132,7 +142,17 @@ class CfdSim {
   [[nodiscard]] double dy() const { return dy_; }
 
  private:
+  /// Velocity, pressure and sound speed of one cell: what a face flux
+  /// reads besides the conserved state.
+  struct CellPrim {
+    double u, v, p, c;
+  };
+
   void apply_physical_bcs();
+  /// Flux-differenced update of rectangle `rect` of one block, u -> unew.
+  void flux_update(const mesh::Grid2D<EulerState>& u,
+                   mesh::Grid2D<EulerState>& unew, mesh::Region2 rect,
+                   double cx, double cy);
   /// Sum of one conserved component over the domain, times the cell area.
   double integral(double EulerState::*component);
 
@@ -144,6 +164,11 @@ class CfdSim {
   mesh::BlockSet<EulerState> unew_;
   EulerState inflow_;
   mesh::BlockExchangePlan2D plan_;  ///< one batched round per step
+  // flux_update's row buffers, sized once from the widest owned block + 2:
+  // primitives of the current and next row, and the x-face fluxes carried
+  // from one row to the next.
+  std::vector<CellPrim> prim_cur_, prim_next_;
+  std::vector<EulerState> xface_;
 };
 
 /// Convenience driver: run the shock-interface scenario for `steps` steps on

@@ -119,9 +119,12 @@ inline EulerState rusanov_y(const EulerState& l, const EulerState& r,
 
 }  // namespace euler
 
-/// The euler2d shock-interface scenario (CfdSim::init_shock_interface, then
-/// `steps` CfdSim::step calls) on one grid; returns the density field.
-inline Array2D<double> euler_shock_interface(const app::CfdConfig& c, int steps) {
+/// `steps` CfdSim::step calls on one grid, starting from the state
+/// init(i, j) (global cell indices, as CfdSim::set_state); returns the
+/// final conserved state.
+template <typename Init>
+Array2D<app::EulerState> euler_steps(const app::CfdConfig& c, Init&& init,
+                                     int steps) {
   using app::EulerState;
   const auto nx = static_cast<std::ptrdiff_t>(c.nx);
   const auto ny = static_cast<std::ptrdiff_t>(c.ny);
@@ -133,14 +136,7 @@ inline Array2D<double> euler_shock_interface(const app::CfdConfig& c, int steps)
   Framed2<EulerState> u(c.nx, c.ny), unew(c.nx, c.ny);
   for (std::ptrdiff_t i = 0; i < nx; ++i) {
     for (std::ptrdiff_t j = 0; j < ny; ++j) {
-      const double x = (static_cast<double>(i) + 0.5) * dx;
-      const double y = (static_cast<double>(j) + 0.5) * dy;
-      const double interface_x =
-          c.x_interface + c.amplitude * std::sin(2.0 * std::numbers::pi *
-                                                 c.interface_modes * y / c.ly);
-      const double rho = (x < interface_x) ? c.rho_light : c.rho_heavy;
-      u(i, j) = x < c.x_shock ? inflow
-                              : app::to_conserved({rho, 0.0, 0.0, c.p0}, c.gamma);
+      u(i, j) = init(static_cast<std::size_t>(i), static_cast<std::size_t>(j));
     }
   }
 
@@ -188,11 +184,40 @@ inline Array2D<double> euler_shock_interface(const app::CfdConfig& c, int steps)
     std::swap(u, unew);
   }
 
-  Array2D<double> rho(c.nx, c.ny);
+  Array2D<EulerState> out(c.nx, c.ny);
   for (std::ptrdiff_t i = 0; i < nx; ++i) {
     for (std::ptrdiff_t j = 0; j < ny; ++j) {
-      rho(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) = u(i, j).rho;
+      out(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) = u(i, j);
     }
+  }
+  return out;
+}
+
+/// The euler2d shock-interface scenario (CfdSim::init_shock_interface, then
+/// `steps` CfdSim::step calls) on one grid; returns the density field.
+inline Array2D<double> euler_shock_interface(const app::CfdConfig& c, int steps) {
+  using app::EulerState;
+  const double dx = c.lx / static_cast<double>(c.nx);
+  const double dy = c.ly / static_cast<double>(c.ny);
+  const EulerState inflow = app::to_conserved(
+      app::post_shock_state(c.mach, c.rho_light, c.p0, c.gamma), c.gamma);
+  const auto state = euler_steps(
+      c,
+      [&](std::size_t i, std::size_t j) {
+        const double x = (static_cast<double>(i) + 0.5) * dx;
+        const double y = (static_cast<double>(j) + 0.5) * dy;
+        const double interface_x =
+            c.x_interface + c.amplitude * std::sin(2.0 * std::numbers::pi *
+                                                   c.interface_modes * y / c.ly);
+        const double rho = (x < interface_x) ? c.rho_light : c.rho_heavy;
+        return x < c.x_shock ? inflow
+                             : app::to_conserved({rho, 0.0, 0.0, c.p0}, c.gamma);
+      },
+      steps);
+
+  Array2D<double> rho(c.nx, c.ny);
+  for (std::size_t i = 0; i < c.nx; ++i) {
+    for (std::size_t j = 0; j < c.ny; ++j) rho(i, j) = state(i, j).rho;
   }
   return rho;
 }

@@ -3,13 +3,17 @@
 // (bitwise), positivity, shock propagation, and Rankine-Hugoniot setup.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <random>
 #include <stdexcept>
 #include <string>
 
 #include "apps/cfd/euler2d.hpp"
+#include "seq_oracles.hpp"
 
 namespace {
 
@@ -292,6 +296,90 @@ TEST(CfdBlocks, OversubscribedDistributionsMatchReferenceBitwise) {
           ASSERT_EQ(reference(i, j), blk(i, j))
               << "np=" << np << " nbx=" << config.nbx << " round_robin="
               << !config.owner.empty() << " at (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(CfdBlocks, SmallBlocksMatchOracleBitwise) {
+  // 4x3 blocks of a 9x5 grid are 1, 2 and 3 cells wide: their cores are
+  // empty and their rim strips one cell wide.
+  CfdConfig cfg;
+  cfg.nx = 9;
+  cfg.ny = 5;
+  constexpr int kSteps = 12;
+  for (const bool periodic_x : {false, true}) {
+    cfg.periodic_x = periodic_x;
+    const auto oracle = oracle::euler_shock_interface(cfg, kSteps);
+    for (const int np : {1, 2, 4}) {
+      mesh::BlockConfig config;
+      config.nbx = 4;
+      config.nby = 3;
+      config.owner = mesh::distribute_blocks_round_robin(12, np);
+      const auto blk = app::run_shock_interface(cfg, kSteps, np, config);
+      ASSERT_EQ(blk.rows(), oracle.rows());
+      ASSERT_EQ(blk.cols(), oracle.cols());
+      for (std::size_t i = 0; i < oracle.rows(); ++i) {
+        for (std::size_t j = 0; j < oracle.cols(); ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(blk(i, j)),
+                    std::bit_cast<std::uint64_t>(oracle(i, j)))
+              << "periodic_x=" << periodic_x << " np=" << np << " at (" << i
+              << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(CfdBlocks, RandomStateMatchesOracleBitwise) {
+  // A seeded random state with positive pressure and both velocity
+  // components nonzero and of either sign, so every face sees flow both
+  // ways; all four conserved components must match the oracle.
+  CfdConfig cfg;
+  cfg.nx = 26;
+  cfg.ny = 15;
+  constexpr int kSteps = 10;
+  Array2D<EulerState> init(cfg.nx, cfg.ny);
+  std::mt19937_64 rng(20261018);
+  std::uniform_real_distribution<double> pos(0.5, 2.0), speed(0.05, 0.6);
+  std::bernoulli_distribution flip(0.5);
+  for (auto& s : init.flat()) {
+    const double rho = pos(rng);
+    const double u = flip(rng) ? -speed(rng) : speed(rng);
+    const double v = flip(rng) ? -speed(rng) : speed(rng);
+    s = app::to_conserved({rho, u, v, pos(rng)}, cfg.gamma);
+  }
+  const auto init_fn = [&](std::size_t i, std::size_t j) { return init(i, j); };
+  const auto bits = [](const EulerState& s) {
+    return std::array<std::uint64_t, 4>{
+        std::bit_cast<std::uint64_t>(s.rho), std::bit_cast<std::uint64_t>(s.mx),
+        std::bit_cast<std::uint64_t>(s.my), std::bit_cast<std::uint64_t>(s.E)};
+  };
+  for (const bool periodic_x : {false, true}) {
+    cfg.periodic_x = periodic_x;
+    const auto oracle = oracle::euler_steps(cfg, init_fn, kSteps);
+    for (const int np : {1, 2, 4}) {
+      Array2D<EulerState> got;
+      double min_p = 0.0;
+      mpl::spmd_run(np, [&](mpl::Process& proc) {
+        CfdSim sim(proc, mpl::CartGrid2D::near_square(np), cfg);
+        sim.set_state(init_fn);
+        sim.run(kSteps);
+        const double p = sim.min_pressure();
+        auto state = mesh::gather_blocks(proc, sim.state(), 0);
+        if (proc.rank() != 0) return;
+        got = std::move(state);
+        min_p = p;
+      });
+      EXPECT_GT(min_p, 0.0) << "periodic_x=" << periodic_x << " np=" << np;
+      ASSERT_EQ(got.rows(), oracle.rows());
+      ASSERT_EQ(got.cols(), oracle.cols());
+      for (std::size_t i = 0; i < oracle.rows(); ++i) {
+        for (std::size_t j = 0; j < oracle.cols(); ++j) {
+          ASSERT_EQ(bits(got(i, j)), bits(oracle(i, j)))
+              << "periodic_x=" << periodic_x << " np=" << np << " at (" << i
+              << "," << j << ")";
         }
       }
     }

@@ -329,11 +329,12 @@ TEST(Pipeline, NodeWidthMetadataIsExposed) {
 }
 
 TEST(Pipeline, FarmIntoFarmDoesNotDeadlockUnderTinyQueues) {
-  // Regression: a farm task meeting a full output queue must help the pool
-  // instead of parking (and the ordered-farm reorderer must not hold its
-  // lock across the push) — otherwise a farm feeding a farm deadlocks once
-  // every pool worker is blocked pushing while the downstream farm's tasks
-  // sit unrunnable. Tiny queues + small batches maximize the blocking.
+  // Regression: an ordered farm feeding a farm through tiny channels. Each
+  // replica runs on its own thread, and the ordered farm's output channel
+  // admits batches in input order, so a replica waiting for its turn or
+  // for room never holds up the replica whose turn it is, and the
+  // downstream farm's replicas keep draining. Tiny queues + small batches
+  // maximize the blocking.
   constexpr long kN = 8000;
   long count = 0, sum = 0;
   auto plan = counting_source(kN) |
@@ -463,10 +464,11 @@ TEST(Pipeline, BackpressureBoundsQueueOccupancy) {
 }
 
 TEST(Pipeline, OrderedFarmBacklogStaysBoundedWithSlowSink) {
-  // Regression: the ordered-farm reorder buffer must not grow without
-  // bound when the sink is slow — the feeder blocks on the backlog bound
-  // instead of racing ahead of the blocked drainer. Correct order and a
-  // capacity-respecting queue pin the behavior.
+  // Regression: with a slow sink, an ordered farm's backlog stays bounded.
+  // Its output channel admits batches in input order and blocks each
+  // replica at the channel's capacity, so no results pile up out of order
+  // ahead of the sink. Correct order and a capacity-respecting queue pin
+  // the behavior.
   constexpr long kN = 2000;
   std::vector<long> out;
   auto plan = counting_source(kN) |
