@@ -80,8 +80,17 @@ class Reporter {
     std::string label = r.name;
     const double p = r.get("p", -1.0);
     const double bytes = r.get("bytes", -1.0);
-    if (p >= 0) label += "/p" + std::to_string(static_cast<long>(p));
-    if (bytes >= 0) label += "/" + std::to_string(static_cast<long>(bytes)) + "B";
+    // Appended piece by piece: `label += "/p" + std::to_string(...)` draws
+    // GCC 12's -Wrestrict false positive in every including TU.
+    if (p >= 0) {
+      label += "/p";
+      label += std::to_string(static_cast<long>(p));
+    }
+    if (bytes >= 0) {
+      label += '/';
+      label += std::to_string(static_cast<long>(bytes));
+      label += 'B';
+    }
     std::printf("%-40s %14.1f %12.1f %12s\n", label.c_str(), sec * 1e9, mbps,
                 extra.c_str());
     std::fflush(stdout);

@@ -149,9 +149,11 @@ awk '
 ' BENCH_kernels.json
 
 # ThreadSanitizer leg: the engine's monitor/abort/fault paths are the racy
-# part of the codebase, and the per-rank CommTrace counter blocks are
-# written concurrently by every rank of a job (the mpl, collectives and
-# poisson suites drive them); vet them under TSan when the toolchain
+# part of the codebase, the per-rank CommTrace counter blocks are written
+# concurrently by every rank of a job (the mpl, collectives and poisson
+# suites drive them), and the mailbox lanes hand envelopes from sender to
+# receiver through a lock-free published count (the substrate suite drives
+# them directly); vet them under TSan when the toolchain
 # supports it (probe first — some images ship g++ without libtsan). Bench
 # and examples are skipped (timing-sensitive), and the fault soak runs
 # reduced.
@@ -160,11 +162,11 @@ if echo 'int main(){}' | g++ -xc++ -fsanitize=thread -o /tmp/tsan_probe - 2>/dev
   cmake -B "$BUILD_DIR-tsan" -S . -DPPA_SANITIZE=thread \
     -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-tsan" -j "$JOBS"
-  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + mpl + collectives + poisson)"
+  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + mpl + collectives + poisson + substrate)"
   PPA_FAULT_SOAK_JOBS=40 PPA_SCHED_SOAK_JOBS=40 PPA_COMPOSE_SMOKE=1 \
     ctest --test-dir "$BUILD_DIR-tsan" \
     --output-on-failure -j "$JOBS" \
-    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_mpl|test_collectives|test_app_poisson'
+    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_mpl|test_collectives|test_app_poisson|test_substrate'
 else
   echo "==> TSan leg skipped (no usable -fsanitize=thread toolchain)"
 fi
@@ -172,7 +174,9 @@ fi
 # AddressSanitizer + UndefinedBehaviorSanitizer leg over the stream engine
 # and the suites around it, plus the euler2d flux sweep (its row buffers are
 # indexed one column either side of each region, where an off-by-one would
-# land) and the kernel suite: the flags go in through CMAKE_CXX_FLAGS and
+# land), the kernel suite, and the message substrate (the mailbox lanes'
+# linked envelope blocks are recycled between producer and consumer) with
+# the suites that drive it: the flags go in through CMAKE_CXX_FLAGS and
 # CMAKE_EXE_LINKER_FLAGS, so PPA_SANITIZE stays a thread-only switch. Same
 # reduced soak as the TSan leg.
 ASAN_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
@@ -182,12 +186,12 @@ if echo 'int main(){}' | g++ -xc++ -fsanitize=address,undefined -o /tmp/asan_pro
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
     -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-asan" -j "$JOBS"
-  echo "==> ASan+UBSan test (pipeline + compose + faults + core + cfd + kernels)"
+  echo "==> ASan+UBSan test (pipeline + compose + faults + core + cfd + kernels + substrate + mpl + collectives + poisson)"
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     PPA_FAULT_SOAK_JOBS=40 PPA_SCHED_SOAK_JOBS=40 PPA_COMPOSE_SMOKE=1 \
     ctest --test-dir "$BUILD_DIR-asan" \
     --output-on-failure -j "$JOBS" \
-    -R 'test_pipeline|test_compose|test_faults|test_core|test_app_cfd|test_kernels'
+    -R 'test_pipeline|test_compose|test_faults|test_core|test_app_cfd|test_kernels|test_substrate|test_mpl|test_collectives|test_app_poisson'
 else
   echo "==> ASan+UBSan leg skipped (no usable -fsanitize=address,undefined toolchain)"
 fi

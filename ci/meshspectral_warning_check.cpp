@@ -138,6 +138,10 @@ namespace {
   kern::jacobi_row(ov.row(1), cv2.row(0), cv2.row(1), cv2.row(2), cv2.row(1),
                    0.25, 1, 7);
   (void)kern::absdiff_max_row(ov.row(1), cv2.row(1), 0, 8, 0.0);
+  (void)kern::jacobi_row_absdiff_max(ov.row(1), cv2.row(0), cv2.row(1),
+                                     cv2.row(2), cv2.row(1), 0.25, 1, 7, 0.0);
+  float fo[10] = {}, fi[10] = {};
+  (void)kern::jacobi_row_absdiff_max(fo, fi, fi + 1, fi, fi, 0.25f, 1, 8, 0.0f);
   kern::copy_row(ov.row(0), cv2.row(0), 0, 8);
   SoAField2D<double> soa(8, 8, 1, 4);
   Grid2D<std::array<double, 4>> aos(8, 8, 1);

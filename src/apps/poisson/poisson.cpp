@@ -13,14 +13,30 @@ double spacing(const PoissonProblem& prob) {
   return 1.0 / static_cast<double>(std::max(prob.nx, prob.ny) - 1);
 }
 
-/// Running max of |a - b| over region r, in row order. Kept out of line:
-/// inlined into the iteration loop, GCC 12 holds the running max in a stack
-/// slot, and the whole solve ran ~1.35x slower.
-[[gnu::noinline]] double absdiff_max(mesh::FieldView2D<const double> a,
-                                     mesh::FieldView2D<const double> b,
-                                     mesh::Region2 r, double running) {
-  for (std::ptrdiff_t i = r.i0; i < r.i1; ++i) {
-    running = mesh::kern::absdiff_max_row(a.row(i), b.row(i), r.j0, r.j1, running);
+/// One Jacobi pass over a block's core (column-tiled) or over its rim
+/// (update minus core), returning `running` folded with max |new - old|
+/// over the points swept: the sweep carries the diffmax, so no second pass
+/// reads both iterates. Max is exact, so the core-then-rim order gives the
+/// row-order fold's value bitwise. Kept out of line: inlined into the
+/// iteration loop, GCC 12 held a running max in a stack slot, and the whole
+/// solve ran ~1.35x slower.
+[[gnu::noinline]] double jacobi_sweep_max(mesh::FieldView2D<double> out,
+                                          mesh::FieldView2D<const double> in,
+                                          mesh::FieldView2D<const double> f,
+                                          double h2, mesh::Region2 update,
+                                          mesh::Region2 core, bool rim,
+                                          double running) {
+  const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0, std::ptrdiff_t j1) {
+    running = mesh::kern::jacobi_row_absdiff_max(out.row(i), in.row(i - 1),
+                                                 in.row(i), in.row(i + 1),
+                                                 f.row(i), h2, j0, j1, running);
+  };
+  if (rim) {
+    mesh::kern::sweep_rim_rows(update, core, rows);
+  } else {
+    mesh::kern::sweep_rows_tiled(
+        core, mesh::kern::auto_tile_j(5 * sizeof(double), core.j1 - core.j0),
+        rows);
   }
   return running;
 }
@@ -128,42 +144,25 @@ PoissonResult poisson_process(mpl::Process& p, const mesh::BlockLayout2D& layout
   mesh::BlockExchangePlan2D plan(uk);
 
   const double h2 = h * h;
-  // Per-block row-kernel sweep: the tiled core, or the rim around it.
-  const auto jacobi_block_rows = [&](std::size_t b, mesh::Region2 r,
-                                     bool tiled) {
-    auto ukpv = mesh::field_view(ukp.block(b).grid());
-    const auto ukv = mesh::field_view(std::as_const(uk.block(b).grid()));
-    const auto fvv = mesh::field_view(std::as_const(fv.block(b).grid()));
-    const auto rows = [&](std::ptrdiff_t i, std::ptrdiff_t j0,
-                          std::ptrdiff_t j1) {
-      mesh::kern::jacobi_row(ukpv.row(i), ukv.row(i - 1), ukv.row(i),
-                             ukv.row(i + 1), fvv.row(i), h2, j0, j1);
-    };
-    if (tiled) {
-      mesh::kern::sweep_rows_tiled(
-          r, mesh::kern::auto_tile_j(5 * sizeof(double), r.j1 - r.j0), rows);
-    } else {
-      mesh::kern::sweep_rim_rows(update[b], core[b], rows);
-    }
+  // Per-block sweep of the core or the rim, folding into the local diffmax.
+  const auto sweep_block = [&](std::size_t b, bool rim, double running) {
+    return jacobi_sweep_max(
+        mesh::field_view(ukp.block(b).grid()),
+        mesh::field_view(std::as_const(uk.block(b).grid())),
+        mesh::field_view(std::as_const(fv.block(b).grid())), h2, update[b],
+        core[b], rim, running);
   };
 
   PoissonResult result;
   while (diffmax.get() > prob.tolerance && result.iterations < prob.max_iters) {
     plan.begin_exchange_all(p, uk);
+    double local_diffmax = 0.0;
     for (std::size_t b = 0; b < uk.size(); ++b) {
-      jacobi_block_rows(b, core[b], /*tiled=*/true);
+      local_diffmax = sweep_block(b, /*rim=*/false, local_diffmax);
     }
     plan.end_exchange_all(p, uk);
     for (std::size_t b = 0; b < uk.size(); ++b) {
-      jacobi_block_rows(b, update[b], /*tiled=*/false);
-    }
-
-    double local_diffmax = 0.0;
-    for (std::size_t b = 0; b < uk.size(); ++b) {
-      local_diffmax = absdiff_max(
-          mesh::field_view(std::as_const(ukp.block(b).grid())),
-          mesh::field_view(std::as_const(uk.block(b).grid())), update[b],
-          local_diffmax);
+      local_diffmax = sweep_block(b, /*rim=*/true, local_diffmax);
     }
     diffmax.store_replicated(p, p.allreduce(local_diffmax, mpl::MaxOp{}));
 

@@ -18,8 +18,12 @@
 //                          — rim drivers matching for_rim's order;
 //   * jacobi_row / jacobi_sweep[_tiled], absdiff_max_row, copy_row
 //                          — the shared 5-point Jacobi kernels used by the
-//                            poisson app and the benches (the app swaps
-//                            its iterates, so only the benches copy_row).
+//                            benches;
+//   * jacobi_row_absdiff_max
+//                          — jacobi_row carrying its own diffmax: the
+//                            poisson app's sweep (it swaps its iterates,
+//                            so it needs neither a reduction pass nor
+//                            copy_row).
 //
 // The apps' stencil sweeps run only through this layer. Their plain
 // per-point restatements are the test oracles: poisson_v1 for poisson,
@@ -29,18 +33,19 @@
 // the same floating-point expression and per-element operation order as a
 // per-point loop would. Tiling only reorders *which element is computed
 // when* — outputs are disjoint from inputs in all stencil sweeps, so
-// results are bitwise-identical to those oracles. The reduction kernel (absdiff_max_row)
-// runs several independent maxima and combines them at the end; it does
-// not depend on order because max is exact, so its result is bitwise the
-// strict forward-order fold (NaN and signed zeros included). The build
-// stays on portable flags by default (no fast-math anywhere;
-// PPA_NATIVE_ARCH affects bench executables only), so no FMA-contraction
-// or reassociation divergence is introduced.
+// results are bitwise-identical to those oracles. The reduction kernels
+// (absdiff_max_row, jacobi_row_absdiff_max) run several independent maxima
+// and combine them at the end; they do not depend on order because max is
+// exact, so their result is bitwise the strict forward-order fold (NaN and
+// signed zeros included). The build stays on portable flags by default
+// (no fast-math anywhere; PPA_NATIVE_ARCH affects bench executables only),
+// so no FMA-contraction or reassociation divergence is introduced.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 
 #include "meshspectral/field.hpp"
 #include "meshspectral/plan.hpp"
@@ -101,8 +106,10 @@ void sweep_rows(Region2 r, RowFn&& body) {
 /// the whole i sweep. Only the compute *schedule* changes — each output
 /// element sees the same expression, so stencil results are bitwise equal
 /// to sweep_rows as long as outputs don't feed later inputs (guaranteed by
-/// the archetype's disjoint in/out rule). Do not use for ordered
-/// reductions.
+/// the archetype's disjoint in/out rule). A reduction carried through the
+/// body sees the elements in tile order, so only order-free ones belong
+/// here — an exact max, as jacobi_row_absdiff_max folds — never a sum or
+/// any other ordered reduction.
 template <typename RowFn>
 void sweep_rows_tiled(Region2 r, std::ptrdiff_t tile_j, RowFn&& body) {
   if (tile_j <= 0) tile_j = r.j1 - r.j0;
@@ -224,6 +231,61 @@ template <typename T>
   }
   for (; j < j1; ++j) m0 = std::max(m0, std::abs(a[j] - b[j]));
   return std::max(std::max(m0, m1), std::max(m2, m3));
+}
+
+/// jacobi_row fused with absdiff_max_row(out, uc, j0, j1, running): writes
+/// exactly jacobi_row's out[j] and returns `running` folded with
+/// |out[j] - uc[j]| over [j0, j1), so a sweep carries its own diffmax
+/// instead of re-reading both rows. The result is bitwise
+/// absdiff_max_row's, hence the forward-order fold, by the same argument.
+/// For double under GCC/Clang the loop runs on explicit two-wide vectors
+/// (two accumulators, so four running maxima): `d > m ? d : m` keeps m
+/// unless d is strictly greater, as std::max(m, d) does, and compiles to
+/// maxpd; other types and compilers take the plain fold.
+template <typename T>
+[[nodiscard]] inline T jacobi_row_absdiff_max(
+    T* PPA_RESTRICT out, const T* PPA_RESTRICT um, const T* PPA_RESTRICT uc,
+    const T* PPA_RESTRICT up, const T* PPA_RESTRICT f, T h2, std::ptrdiff_t j0,
+    std::ptrdiff_t j1, T running) {
+  std::ptrdiff_t j = j0;
+#if defined(__GNUC__)
+  if constexpr (std::is_same_v<T, double>) {
+    using v2d = double __attribute__((vector_size(16)));
+    using v2u = unsigned long long __attribute__((vector_size(16)));
+    const auto load = [](const double* p) {
+      v2d v;
+      __builtin_memcpy(&v, p, sizeof v);
+      return v;
+    };
+    const v2d h2v = {h2, h2};
+    const v2d quarter = {0.25, 0.25};
+    const v2u magnitude = {~0ULL >> 1, ~0ULL >> 1};
+    v2d m0 = {running, running};
+    v2d m1 = m0;
+    const auto step = [&](std::ptrdiff_t k, v2d& m) {
+      const v2d c = load(uc + k);
+      const v2d v =
+          (load(um + k) + load(up + k) + load(uc + k - 1) + load(uc + k + 1) -
+           h2v * load(f + k)) *
+          quarter;
+      __builtin_memcpy(out + k, &v, sizeof v);
+      const v2d d = (v2d)((v2u)(v - c) & magnitude);
+      m = d > m ? d : m;
+    };
+    for (; j + 4 <= j1; j += 4) {
+      step(j, m0);
+      step(j + 2, m1);
+    }
+    const v2d m = m1 > m0 ? m1 : m0;
+    running = std::max(m[0], m[1]);
+  }
+#endif
+  for (; j < j1; ++j) {
+    out[j] = (um[j] + up[j] + uc[j - 1] + uc[j + 1] - h2 * f[j]) *
+             static_cast<T>(0.25);
+    running = std::max(running, std::abs(out[j] - uc[j]));
+  }
+  return running;
 }
 
 /// Contiguous row-segment copy.

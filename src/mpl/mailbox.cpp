@@ -25,6 +25,20 @@ bool spin_worthwhile() {
 }
 }  // namespace
 
+Mailbox::Lane::Lane() {
+  prod.tail = new Block;
+  cons.head = prod.tail;
+}
+
+Mailbox::Lane::~Lane() {
+  for (Block* b = cons.head; b != nullptr;) {
+    Block* next = b->next;
+    delete b;
+    b = next;
+  }
+  delete pub.spare.load(std::memory_order_acquire);
+}
+
 Mailbox::Mailbox(int nsenders)
     : slots_(std::max(static_cast<std::size_t>(nsenders > 0 ? nsenders : 0),
                       kMinSlots)) {
@@ -94,23 +108,36 @@ void Mailbox::push(Envelope env) {
   }
   Lane& lane = lane_for(env.source);
   {
-    // Stamp the arrival sequence number *inside* the lane critical section:
-    // stamping and enqueueing are then atomic with respect to receivers
-    // scanning this lane, which is what makes the wildcard stable-rescan in
-    // extract_any_source sound (a message stamped before a scan begins is
-    // guaranteed visible to that scan). Stamping outside the lock opened a
-    // window where a lower-seq message was stamped but not yet queued, so a
-    // concurrent kAnySource receive could return a later arrival first.
-    const std::scoped_lock lock(lane.mutex);
+    // Stamp the arrival sequence number and publish *inside* the producer
+    // critical section: a wildcard scan holds this mutex while it reads the
+    // lane, so stamping and publishing are atomic to it, which is what makes
+    // the stable rescan in extract_any_source sound (a message stamped
+    // before a scan begins is guaranteed visible to that scan).
+    auto& prod = lane.prod;
+    const std::scoped_lock lock(prod.mutex);
     env.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    lane.queue.push_back(std::move(env));
-    lane.pushes.fetch_add(1, std::memory_order_release);
+    if (prod.slot == Block::kSlots) {
+      Block* fresh = lane.pub.spare.exchange(nullptr, std::memory_order_acq_rel);
+      if (fresh == nullptr) fresh = new Block;
+      prod.tail->next = fresh;
+      prod.tail = fresh;
+      prod.slot = 0;
+    }
+    prod.tail->slots[prod.slot++] = std::move(env);
+    lane.pub.pushes.fetch_add(1, std::memory_order_seq_cst);
   }
-  // Targeted wake: only a receiver parked on this lane is disturbed. (At
-  // most one thread — the mailbox owner — ever waits on a lane in the SPMD
-  // runtime, so notify_all costs the same as notify_one and is robust to
-  // standalone multi-consumer use.)
-  lane.cv.notify_all();
+  // Park handshake, sender side: the count was bumped (seq_cst) before this
+  // load, and a receiver bumps `parked` before its last look at the count,
+  // so at least one of the two sees the other. At most one thread — the
+  // mailbox owner — ever parks on a lane in the SPMD runtime, so notify_all
+  // costs the same as notify_one and is robust to standalone
+  // multi-consumer use.
+  if (lane.pub.parked.load(std::memory_order_seq_cst) > 0) {
+    {
+      const std::scoped_lock lock(lane.pub.mutex);
+    }
+    lane.pub.cv.notify_all();
+  }
   // Wildcard receivers park on a separate channel; skip the notify entirely
   // when none is registered (the common case).
   if (any_waiters_.load(std::memory_order_acquire) > 0) {
@@ -119,26 +146,61 @@ void Mailbox::push(Envelope env) {
   }
 }
 
-bool Mailbox::extract_from_lane(Lane& lane, int tag, Envelope& out) {
-  for (auto it = lane.queue.begin(); it != lane.queue.end(); ++it) {
+Envelope Mailbox::take_next(Lane& lane) {
+  auto& cons = lane.cons;
+  if (cons.slot == Block::kSlots) {
+    // Read through: the producer linked the next block before publishing
+    // the envelope this call takes, and never touches this one again.
+    Block* done = cons.head;
+    cons.head = done->next;
+    cons.slot = 0;
+    done->next = nullptr;
+    delete lane.pub.spare.exchange(done, std::memory_order_acq_rel);
+  }
+  ++cons.taken;
+  return std::move(cons.head->slots[cons.slot++]);
+}
+
+void Mailbox::drain_to_stash(Lane& lane) {
+  const std::scoped_lock lock(lane.prod.mutex);
+  const std::uint64_t published = lane.pub.pushes.load(std::memory_order_acquire);
+  while (lane.cons.taken < published) lane.cons.stash.push_back(take_next(lane));
+}
+
+bool Mailbox::extract_from_lane(Lane& lane, int tag, Envelope& out,
+                                std::uint64_t& published) {
+  auto& stash = lane.cons.stash;
+  for (auto it = stash.begin(); it != stash.end(); ++it) {
     if (tag_matches(*it, tag)) {
       out = std::move(*it);
-      lane.queue.erase(it);
+      stash.erase(it);
       return true;
     }
+  }
+  published = lane.pub.pushes.load(std::memory_order_acquire);
+  while (lane.cons.taken < published) {
+    Envelope env = take_next(lane);
+    if (tag_matches(env, tag)) {
+      out = std::move(env);
+      return true;
+    }
+    stash.push_back(std::move(env));
   }
   return false;
 }
 
 bool Mailbox::extract_any_source(int tag, Envelope& out) {
   // One full pass over the lanes (locking one lane at a time): the lane
-  // holding the earliest-arrival match, and that arrival's seq.
+  // holding the earliest-arrival match, and that arrival's seq. Draining a
+  // lane under its producer mutex brings every envelope stamped so far into
+  // the stash, whose first tag match is that lane's earliest.
   const auto find_best = [&](Lane*& best, std::uint64_t& best_seq) {
     best = nullptr;
     best_seq = std::numeric_limits<std::uint64_t>::max();
     for_each_lane([&](Lane& lane) {
-      const std::scoped_lock lock(lane.mutex);
-      for (const auto& env : lane.queue) {
+      const std::scoped_lock lock(lane.cons.mutex);
+      drain_to_stash(lane);
+      for (const auto& env : lane.cons.stash) {
         if (tag_matches(env, tag)) {
           if (env.seq < best_seq) {
             best_seq = env.seq;
@@ -152,12 +214,12 @@ bool Mailbox::extract_any_source(int tag, Envelope& out) {
   // A single pass is not enough when pushes race it: the pass may read
   // lane A before a low-seq message lands there and lane B after a
   // higher-seq one landed — choosing the later arrival. Because push
-  // stamps and enqueues atomically under the lane lock, two facts hold:
-  // (a) a pass sees every pending message stamped before the pass began,
-  // and (b) the global stamp counter is the complete record of stamping —
-  // if it did not move across a pass, no push raced it and the pass's
-  // candidate is the true earliest (the uncontended fast path: one scan
-  // plus two atomic loads). If the counter moved, rescan until a full
+  // stamps and publishes atomically under the producer lock, two facts
+  // hold: (a) a pass sees every pending message stamped before the pass
+  // began, and (b) the global stamp counter is the complete record of
+  // stamping — if it did not move across a pass, no push raced it and the
+  // pass's candidate is the true earliest (the uncontended fast path: one
+  // scan plus two atomic loads). If the counter moved, rescan until a full
   // pass finds nothing earlier than the current candidate: the candidate
   // predates that stable pass, so by (a) any earlier pending message
   // would have been seen by it. The candidate seq strictly decreases
@@ -188,15 +250,16 @@ bool Mailbox::extract_any_source(int tag, Envelope& out) {
       }
       if (stolen) continue;
     }
-    // Extract precisely the candidate (per-lane FIFO keeps seqs increasing
-    // within a lane, so the first tag match is the earliest).
+    // Extract precisely the candidate (the stash is in arrival order, so
+    // the first tag match is the earliest).
     {
-      const std::scoped_lock lock(best->mutex);
-      for (auto it = best->queue.begin(); it != best->queue.end(); ++it) {
+      const std::scoped_lock lock(best->cons.mutex);
+      auto& stash = best->cons.stash;
+      for (auto it = stash.begin(); it != stash.end(); ++it) {
         if (tag_matches(*it, tag)) {
           if (it->seq != best_seq) break;  // consumed; restart the search
           out = std::move(*it);
-          best->queue.erase(it);
+          stash.erase(it);
           return true;
         }
       }
@@ -206,34 +269,44 @@ bool Mailbox::extract_any_source(int tag, Envelope& out) {
 
 Envelope Mailbox::pop_from_lane(int source, int tag) {
   Lane& lane = lane_for(source);
-  // Bounded spin phase: probe the lane's push counter without the lock and
-  // only attempt extraction when a new message has arrived. In tight
+  auto& pub = lane.pub;
+  Envelope env;
+  std::uint64_t seen = 0;  // push count the last search covered
+  const auto search = [&] {
+    const std::scoped_lock lock(lane.cons.mutex);
+    return extract_from_lane(lane, tag, env, seen);
+  };
+  if (search()) return env;
+  if (aborted_.load(std::memory_order_acquire)) throw WorldAborted{};
+  // Bounded spin phase: probe the push count without any lock and search
+  // again only when a new message has been published. In tight
   // request/reply exchanges the reply lands within the spin window, saving
   // the condvar sleep/wake (futex) round-trip entirely.
   if (spin_worthwhile()) {
     constexpr int kSpinIters = 1500;
-    std::uint64_t seen = ~std::uint64_t{0};
     for (int spin = 0; spin < kSpinIters; ++spin) {
-      const std::uint64_t now = lane.pushes.load(std::memory_order_acquire);
-      if (now != seen) {
-        const std::scoped_lock lock(lane.mutex);
-        Envelope env;
-        if (extract_from_lane(lane, tag, env)) return env;
+      if (pub.pushes.load(std::memory_order_acquire) != seen) {
+        if (search()) return env;
         if (aborted_.load(std::memory_order_acquire)) throw WorldAborted{};
-        seen = now;
       }
       cpu_pause();
     }
   }
-  std::unique_lock lock(lane.mutex);
-  bool waited = false;
+  // Park handshake, receiver side (see push): announce the park, then look
+  // at the count once more under the park mutex before sleeping.
   for (;;) {
-    Envelope env;
-    if (extract_from_lane(lane, tag, env)) return env;
+    pub.parked.fetch_add(1, std::memory_order_seq_cst);
+    {
+      std::unique_lock lock(pub.mutex);
+      pub.cv.wait(lock, [&] {
+        return pub.pushes.load(std::memory_order_seq_cst) != seen ||
+               aborted_.load(std::memory_order_acquire);
+      });
+    }
+    pub.parked.fetch_sub(1, std::memory_order_relaxed);
+    if (search()) return env;
     if (aborted_.load(std::memory_order_acquire)) throw WorldAborted{};
-    if (waited) futile_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    lane.cv.wait(lock);
-    waited = true;
+    futile_wakeups_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -278,8 +351,9 @@ bool Mailbox::try_pop(int source, int tag, Envelope& out) {
     found = extract_any_source(tag, out);
   } else {
     Lane& lane = lane_for(source);
-    const std::scoped_lock lock(lane.mutex);
-    found = extract_from_lane(lane, tag, out);
+    const std::scoped_lock lock(lane.cons.mutex);
+    std::uint64_t published = 0;
+    found = extract_from_lane(lane, tag, out, published);
   }
   if (found && progress_ != nullptr) {
     progress_->fetch_add(1, std::memory_order_relaxed);
@@ -290,28 +364,31 @@ bool Mailbox::try_pop(int source, int tag, Envelope& out) {
 std::size_t Mailbox::pending() const {
   std::size_t total = 0;
   for_each_lane([&total](Lane& lane) {
-    const std::scoped_lock lock(lane.mutex);
-    total += lane.queue.size();
+    const std::scoped_lock lock(lane.cons.mutex);
+    total += lane.cons.stash.size() +
+             static_cast<std::size_t>(
+                 lane.pub.pushes.load(std::memory_order_acquire) - lane.cons.taken);
   });
   return total;
 }
 
 void Mailbox::reset() {
   for_each_lane([](Lane& lane) {
-    const std::scoped_lock lock(lane.mutex);
-    lane.queue.clear();
+    const std::scoped_lock lock(lane.cons.mutex);
+    drain_to_stash(lane);
+    lane.cons.stash.clear();
   });
   next_seq_.store(0, std::memory_order_relaxed);
   aborted_.store(false, std::memory_order_release);
 }
 
 void Mailbox::abort() {
-  aborted_.store(true, std::memory_order_release);
+  aborted_.store(true, std::memory_order_seq_cst);
   for_each_lane([](Lane& lane) {
     {
-      const std::scoped_lock lock(lane.mutex);
+      const std::scoped_lock lock(lane.pub.mutex);
     }
-    lane.cv.notify_all();
+    lane.pub.cv.notify_all();
   });
   const std::scoped_lock lock(any_mutex_);
   any_cv_.notify_all();

@@ -12,6 +12,19 @@
 // that source, senders to the same mailbox do not contend with each other,
 // and a push wakes only a receiver waiting on that lane.
 //
+// Why each lane is split: a latency-bound round (halo exchange, allreduce)
+// is one push answered by one pop, so any lock the two sides share puts the
+// receiver behind the sender's critical section. A lane is three
+// cache-line-aligned parts. The *producer* part (a mutex, the tail of a
+// linked list of fixed-size envelope blocks) is taken by pushers. The
+// *published* part is a push count the receiver spins on without a lock,
+// plus the park handshake. The *consumer* part (its own mutex, the head of
+// the block list, and a stash of envelopes already taken from the blocks
+// that did not match the tag asked for) is taken by receivers. An exact
+// receive takes only the consumer mutex, so it never waits on a sender.
+// Emptied blocks go back to the producer through a one-block spare, so a
+// steady stream allocates nothing.
+//
 // Hot path: the lane table is a fixed array of atomic slots sized at
 // construction (one per sender rank), so lane lookup is a single acquire
 // load — no table lock. Sources beyond the pre-sized table (standalone /
@@ -19,13 +32,15 @@
 //
 // Semantics preserved from the single-deque design:
 //   - FIFO per (source, tag) pair (MPI's non-overtaking guarantee): a lane
-//     is FIFO per source, and tag filtering preserves relative order.
+//     is FIFO per source, the stash holds only envelopes older than any
+//     still in the blocks, and tag filtering preserves relative order.
 //   - Wildcards: kAnyTag scans the lane in arrival order; kAnySource picks
 //     the globally earliest matching arrival across lanes (every envelope is
 //     stamped with an arrival sequence number), which is the strongest —
-//     and deterministic — ordering the old global deque provided. The stamp
-//     and the enqueue are atomic per lane and the wildcard search rescans
-//     until stable, so this holds even against concurrent producers:
+//     and deterministic — ordering the old global deque provided. A push
+//     stamps and publishes under the lane's producer mutex, the wildcard
+//     search holds that mutex while it reads a lane, and it rescans until
+//     stable, so this holds even against concurrent producers:
 //     successive kAnySource receives observe strictly increasing arrival
 //     seqs, while interleaved lane-targeted receives see per-source FIFO.
 //   - abort() releases every blocked receiver with WorldAborted.
@@ -37,6 +52,7 @@
 // refcount — no data is copied through the queue.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -77,7 +93,8 @@ class Mailbox {
   /// Non-blocking variant; returns false if no matching message is queued.
   bool try_pop(int source, int tag, Envelope& out);
 
-  /// Number of queued messages (diagnostic; takes each lane's lock).
+  /// Number of queued messages (diagnostic; takes each lane's consumer
+  /// lock).
   [[nodiscard]] std::size_t pending() const;
 
   /// Number of times a blocked receiver woke without finding a matching
@@ -107,15 +124,56 @@ class Mailbox {
   }
 
  private:
-  /// One sender rank's FIFO queue with its own mutex and wakeup channel.
-  /// `pushes` counts arrivals monotonically; a receiver spins briefly on it
-  /// (no lock) before parking on the condvar, which removes the futex
-  /// round-trip from tight request/reply exchanges.
+  static constexpr std::size_t kLineBytes = 64;
+
+  /// A fixed run of envelope slots. A lane's blocks form a singly linked
+  /// list from the consumer's head to the producer's tail; a full tail
+  /// links a new block, so lanes stay unbounded.
+  struct Block {
+    static constexpr std::size_t kSlots = 8;
+    std::array<Envelope, kSlots> slots;
+    /// Linked by the producer before it publishes the first envelope in
+    /// the next block, so a consumer that sees that envelope sees the link.
+    Block* next = nullptr;
+  };
+
+  /// One sender rank's FIFO queue.
   struct Lane {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Envelope> queue;
-    std::atomic<std::uint64_t> pushes{0};
+    Lane();
+    ~Lane();
+    Lane(const Lane&) = delete;
+    Lane& operator=(const Lane&) = delete;
+
+    /// Pushers (and wildcard scans, which need stamp and publish atomic to
+    /// them) serialize on `mutex`.
+    struct alignas(kLineBytes) Producer {
+      std::mutex mutex;
+      Block* tail = nullptr;
+      std::size_t slot = 0;  ///< next free slot in tail
+    } prod;
+
+    /// `pushes` counts published envelopes (seq_cst: it is one side of the
+    /// park handshake). A receiver spins on it without a lock, then parks
+    /// on `cv` after bumping `parked`; a push notifies only when `parked`
+    /// is nonzero. `spare` hands one emptied block back to the producer.
+    struct alignas(kLineBytes) Published {
+      std::atomic<std::uint64_t> pushes{0};
+      std::atomic<int> parked{0};
+      std::atomic<Block*> spare{nullptr};
+      std::mutex mutex;
+      std::condition_variable cv;
+    } pub;
+
+    /// Receivers serialize on `mutex`. `taken` counts envelopes moved out
+    /// of the blocks; `stash` holds the taken ones no receive has matched
+    /// yet, oldest first.
+    struct alignas(kLineBytes) Consumer {
+      std::mutex mutex;
+      Block* head = nullptr;
+      std::size_t slot = 0;  ///< next unread slot in head
+      std::uint64_t taken = 0;
+      std::deque<Envelope> stash;
+    } cons;
   };
 
   /// Minimum lane-table size for default-constructed mailboxes.
@@ -135,8 +193,22 @@ class Mailbox {
   template <typename F>
   void for_each_lane(F&& f) const;
 
-  /// Extract the first tag-match from one lane; lane.mutex must be held.
-  bool extract_from_lane(Lane& lane, int tag, Envelope& out);
+  /// Move the oldest published envelope out of the blocks, recycling a
+  /// block once it is read through. lane.cons.mutex must be held and an
+  /// untaken envelope must be published.
+  static Envelope take_next(Lane& lane);
+
+  /// Move every published envelope into the stash. lane.cons.mutex must
+  /// be held; this takes lane.prod.mutex too, so every envelope stamped so
+  /// far has been published and is included.
+  static void drain_to_stash(Lane& lane);
+
+  /// Extract the first tag-match from one lane: the stash, then the
+  /// published envelopes (non-matching ones go to the stash).
+  /// lane.cons.mutex must be held. `published` receives the push count the
+  /// search covered.
+  static bool extract_from_lane(Lane& lane, int tag, Envelope& out,
+                                std::uint64_t& published);
 
   /// Extract the earliest-arrival tag-match across all lanes.
   bool extract_any_source(int tag, Envelope& out);

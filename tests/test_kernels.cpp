@@ -7,7 +7,8 @@
 //     ghost-width-2 exchange regression (the padded stride must never leak
 //     into the wire format);
 //   * the reduction contract: absdiff_max_row equals a strict forward-order
-//     fold bitwise, NaN and signed zeros included;
+//     fold bitwise, NaN and signed zeros included, and the fused
+//     jacobi_row_absdiff_max equals jacobi_row then absdiff_max_row;
 //   * the bitwise-equality battery: for poisson, euler2d, and fdtd3d, the
 //     kernel sweeps must reproduce a plain per-point oracle exactly
 //     (poisson_v1; tests/seq_oracles.hpp for euler2d and fdtd3d) — at np
@@ -285,6 +286,61 @@ TEST(KernelReduction, AbsdiffMaxMatchesForwardOrderBitwise) {
           ASSERT_EQ(bits(got), bits(want))
               << "len=" << len << " j0=" << j0 << " running=" << running
               << " trial=" << trial;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelReduction, JacobiRowAbsdiffMaxMatchesSeparatePassesBitwise) {
+  // The fused sweep must write exactly jacobi_row's row (and nothing
+  // outside [j0, j1)) and return exactly absdiff_max_row's fold of the new
+  // row against the centre input row, on inputs that exercise NaN, signed
+  // zeros, infinities and denormals. When both operands of an add are NaN,
+  // which one the sum carries is the compiler's choice (it may swap the
+  // operands of a commutative add), so the input NaN is the one the
+  // hardware generates itself (inf - inf): every NaN in the computation is
+  // then the same bits. The running max may be any NaN; it is only kept.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  volatile double inf = kInf;  // computed at run time, not folded
+  const double generated_nan = inf - inf;
+  const std::array<double, 11> pool{
+      generated_nan, 0.0, -0.0,  kInf, -kInf, kDenorm, -3 * kDenorm,
+      1.5,           -2.25, 5.0, 1e300};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::mt19937 rng(2468);
+  std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+  // Centre row padded by one on each side so uc[j - 1] and uc[j + 1] stay
+  // in bounds for every j0 >= 0 and j1 <= 20.
+  std::array<double, 24> um{}, ucp{}, up{}, f{}, out_want{}, out_got{};
+  const double* uc = ucp.data() + 1;
+  for (std::ptrdiff_t len = 0; len <= 17; ++len) {
+    for (const std::ptrdiff_t j0 : {0, 1, 3}) {
+      for (const double running : {0.0, -0.0, kNaN, 5.0}) {
+        for (int trial = 0; trial < 200; ++trial) {
+          for (auto* row : {&um, &ucp, &up, &f}) {
+            for (double& v : *row) v = pool[pick(rng)];
+          }
+          const double h2 = trial % 2 == 0 ? 0.01 : pool[pick(rng)];
+          out_want.fill(-7.0);
+          out_got.fill(-7.0);
+          mesh::kern::jacobi_row(out_want.data(), um.data(), uc, up.data(),
+                                 f.data(), h2, j0, j0 + len);
+          const double want = mesh::kern::absdiff_max_row(
+              out_want.data(), uc, j0, j0 + len, running);
+          const double got = mesh::kern::jacobi_row_absdiff_max(
+              out_got.data(), um.data(), uc, up.data(), f.data(), h2, j0,
+              j0 + len, running);
+          ASSERT_EQ(bits(got), bits(want))
+              << "len=" << len << " j0=" << j0 << " running=" << running
+              << " trial=" << trial;
+          for (std::size_t k = 0; k < out_want.size(); ++k) {
+            ASSERT_EQ(bits(out_got[k]), bits(out_want[k]))
+                << "out[" << k << "] len=" << len << " j0=" << j0
+                << " trial=" << trial;
+          }
         }
       }
     }

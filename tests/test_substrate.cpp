@@ -3,10 +3,13 @@
 // zero-copy payloads, and the scalability properties of the rewritten
 // collectives (no rank-0 bottleneck, O(1) payload copies per rank in
 // broadcast). These pin exactly the semantics the lane/zero-copy design
-// must preserve from the single-deque substrate.
+// must preserve from the single-deque substrate, plus the lane internals
+// behind them: parking and wakeup, per-tag FIFO across the lane's envelope
+// blocks and its stash, and reset.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -276,6 +279,93 @@ TEST(MailboxLanes, ConcurrentSendersPreserveEachSourcesFifo) {
       EXPECT_EQ(env_value(box.pop(s, 0)), i);
     }
   }
+}
+
+// ------------------------------------------------ lane blocks and parking --
+
+TEST(MailboxLanes, ParkedReceiverIsWokenBySinglePush) {
+  // Each round the receiver waits well past its spin window and parks;
+  // one push must wake it. A lost wakeup shows as a round that does not
+  // complete within the deadline (the box is then aborted so the receiver
+  // thread exits and the failure is reported rather than hung).
+  constexpr int kRounds = 200;
+  for (const bool wildcard : {false, true}) {
+    Mailbox box(2);
+    std::atomic<int> received{0};
+    std::thread receiver([&] {
+      try {
+        for (int r = 0; r < kRounds; ++r) {
+          const Envelope env = wildcard ? box.pop(kAnySource, 3) : box.pop(1, 3);
+          EXPECT_EQ(env_value(env), r);
+          received.store(r + 1, std::memory_order_release);
+        }
+      } catch (const WorldAborted&) {
+      }
+    });
+    for (int r = 0; r < kRounds; ++r) {
+      std::this_thread::sleep_for(std::chrono::microseconds(1000));
+      box.push(make_env(1, 3, r));
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (received.load(std::memory_order_acquire) < r + 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (received.load(std::memory_order_acquire) < r + 1) {
+        ADD_FAILURE() << (wildcard ? "wildcard" : "exact")
+                      << " receiver missed the wakeup in round " << r;
+        box.abort();
+        break;
+      }
+    }
+    receiver.join();
+    EXPECT_EQ(box.pending(), 0u);
+  }
+}
+
+TEST(MailboxLanes, PerTagFifoHoldsAcrossBlockBoundaries) {
+  // Far more envelopes than one lane block holds, three tags interleaved:
+  // draining one tag at a time moves the others into the lane's stash, and
+  // each tag must still come out in push order (exact and wildcard-source
+  // receives alike).
+  constexpr int kPerTag = 40;
+  Mailbox box(2);
+  for (int i = 0; i < kPerTag; ++i) {
+    for (int tag = 0; tag < 3; ++tag) box.push(make_env(1, tag, tag * 1000 + i));
+  }
+  EXPECT_EQ(box.pending(), 3u * kPerTag);
+  for (int i = 0; i < kPerTag; ++i) EXPECT_EQ(env_value(box.pop(1, 0)), i);
+  for (int i = 0; i < kPerTag; ++i) {
+    EXPECT_EQ(env_value(box.pop(kAnySource, 1)), 1000 + i);
+  }
+  for (int i = 0; i < kPerTag; ++i) EXPECT_EQ(env_value(box.pop(1, 2)), 2000 + i);
+  EXPECT_EQ(box.pending(), 0u);
+  Envelope env;
+  EXPECT_FALSE(box.try_pop(1, kAnyTag, env));
+}
+
+TEST(MailboxLanes, ResetDiscardsPublishedAndStashedEnvelopes) {
+  Mailbox box(2);
+  // Source 0: receiving tag 2 moves the two tag-1 envelopes into the
+  // stash. Source 1: published and never taken.
+  box.push(make_env(0, 1, 10));
+  box.push(make_env(0, 1, 11));
+  box.push(make_env(0, 2, 12));
+  EXPECT_EQ(env_value(box.pop(0, 2)), 12);
+  for (int i = 0; i < 20; ++i) box.push(make_env(1, 1, 100 + i));
+  EXPECT_EQ(box.pending(), 22u);
+  box.reset();
+  EXPECT_EQ(box.pending(), 0u);
+  Envelope env;
+  EXPECT_FALSE(box.try_pop(0, 1, env));
+  EXPECT_FALSE(box.try_pop(kAnySource, kAnyTag, env));
+  box.push(make_env(1, 1, 7));
+  box.push(make_env(0, 1, 8));
+  const Envelope first = box.pop(kAnySource, 1);
+  EXPECT_EQ(env_value(first), 7);
+  EXPECT_EQ(first.seq, 0u);  // arrival numbering restarted
+  EXPECT_EQ(env_value(box.pop(0, 1)), 8);
+  EXPECT_EQ(box.pending(), 0u);
 }
 
 // -------------------------------------------------------- spmd-level paths --
