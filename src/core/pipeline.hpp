@@ -92,6 +92,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
@@ -680,20 +681,15 @@ class Plan {
       : src_(std::move(src)), mids_(std::move(mids)), sink_(std::move(snk)) {}
 
   /// Ranks run_process needs: one per serial node, `width` per farm.
-  [[nodiscard]] int ranks_required() const {
-    int total = 0;
-    for (const int w : node_widths()) total += w;
-    return total;
-  }
+  [[nodiscard]] int ranks_required() const { return total_width(node_kinds()); }
 
   /// Width metadata: ranks per node, source-to-sink (serial nodes 1, farms
   /// their replica count). This is what the compose layer (core/compose.hpp)
   /// reads to check a graph against an engine's capacity.
   [[nodiscard]] std::vector<int> node_widths() const {
-    std::vector<int> widths(kNodes, 1);
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((widths[Is + 1] = node_width(std::get<Is>(mids_))), ...);
-    }(std::make_index_sequence<kMids>{});
+    std::vector<int> widths;
+    widths.reserve(kNodes);
+    for (const NodeKind& kind : node_kinds()) widths.push_back(kind.width);
     return widths;
   }
 
@@ -704,7 +700,8 @@ class Plan {
 
   /// The name GraphShapeError reports for node `j` (source = 0).
   [[nodiscard]] std::string node_label(std::size_t j) const {
-    return detail::node_label(j, kNodes, node_is_farm(j), node_is_ordered(j));
+    const NodeKind kind = node_kinds()[j];
+    return detail::node_label(j, kNodes, kind.farm, kind.ordered);
   }
 
   // ------------------------------------------------------- sequential --
@@ -734,16 +731,15 @@ class Plan {
   /// the world is too small or an ordered farm feeds another farm.
   void run_process(mpl::Process& p, Config cfg = {}) {
     normalize(cfg);
-    const auto widths = node_widths();
-    validate_process_layout(widths);
-    int required = 0;
-    for (const int w : widths) required += w;
+    const Kinds kinds = node_kinds();
+    validate_process_layout(kinds);
+    const int required = total_width(kinds);
     if (p.size() < required) {
       // Name the first node whose rank block does not fit the world.
       int acc = 0;
       std::size_t offender = kNodes - 1;
       for (std::size_t j = 0; j < kNodes; ++j) {
-        acc += widths[j];
+        acc += kinds[j].width;
         if (acc > p.size()) {
           offender = j;
           break;
@@ -771,8 +767,8 @@ class Plan {
     }
     const int tag_base = p.broadcast_value(reserved, 0);
     std::vector<int> base(kNodes);
-    for (std::size_t j = 1; j < kNodes; ++j) base[j] = base[j - 1] + widths[j - 1];
-    run_process_dispatch(p, cfg, widths, base, tag_base,
+    for (std::size_t j = 1; j < kNodes; ++j) base[j] = base[j - 1] + kinds[j - 1].width;
+    run_process_dispatch(p, cfg, kinds, base, tag_base,
                          std::make_index_sequence<kNodes>{});
   }
 
@@ -802,17 +798,45 @@ class Plan {
     if (cfg.batch > cfg.queue_capacity) cfg.batch = cfg.queue_capacity;
   }
 
-  template <typename Node>
-  static int node_width(const Node& node) {
-    if constexpr (detail::is_farm_node<Node>) {
-      return node.width;
-    } else {
-      (void)node;
-      return 1;
-    }
+  /// What graph node j (source = 0, sink = kNodes - 1) is: its rank width
+  /// (1, or a farm's replica count), and whether it is a farm and an
+  /// ordered one. Built once per run; every driver reads this table.
+  struct NodeKind {
+    int width = 1;
+    bool farm = false;
+    bool ordered = false;
+  };
+  using Kinds = std::array<NodeKind, kNodes>;
+
+  [[nodiscard]] Kinds node_kinds() const {
+    Kinds kinds{};
+    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
+      ([&] {
+         if constexpr (detail::is_farm_node<mid_t<Is>>) {
+           const auto& farm = std::get<Is>(mids_);
+           kinds[Is + 1] = NodeKind{farm.width, true, farm.ordered};
+         }
+       }(),
+       ...);
+    }(std::make_index_sequence<kMids>{});
+    return kinds;
   }
 
-  void validate_process_layout(const std::vector<int>& widths) const {
+  static int total_width(const Kinds& kinds) {
+    int total = 0;
+    for (const NodeKind& kind : kinds) total += kind.width;
+    return total;
+  }
+
+  /// An ordered farm sends a batch for every input seq, even an empty one,
+  /// and so does every node upstream of it: its reordering point needs the
+  /// numbering contiguous. Elsewhere an empty result sends nothing.
+  static bool keeps_empties(const Kinds& kinds, std::size_t node) {
+    return std::any_of(kinds.begin() + static_cast<std::ptrdiff_t>(node), kinds.end(),
+                       [](const NodeKind& kind) { return kind.ordered; });
+  }
+
+  void validate_process_layout(const Kinds& kinds) const {
     // Two wire-level constraints on ordered farms (both irrelevant to the
     // threaded driver, whose channel orders an ordered farm's output at the
     // producer side, by the stamps of the farm's own input channel):
@@ -830,28 +854,19 @@ class Plan {
     std::size_t bad_successor = kNodes;    // node index of the offending farm
     std::size_t bad_predecessor = kNodes;
     bool in_order = true;  // is the stream still in source-seq order here?
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((
-           [&] {
-             if constexpr (detail::is_farm_node<mid_t<Is>>) {
-               if (is_ordered<Is>()) {
-                 if (!in_order && bad_predecessor == kNodes) {
-                   bad_predecessor = Is + 1;
-                 }
-                 if (widths[Is + 2] > 1 && bad_successor == kNodes) {
-                   bad_successor = Is + 1;
-                 }
-               } else {
-                 in_order = false;
-               }
-             }
-           }(),
-       ...));
-    }(std::make_index_sequence<kMids>{});
+    for (std::size_t j = 1; j + 1 < kNodes; ++j) {
+      if (!kinds[j].farm) continue;
+      if (!kinds[j].ordered) {
+        in_order = false;
+        continue;
+      }
+      if (!in_order && bad_predecessor == kNodes) bad_predecessor = j;
+      if (kinds[j + 1].width > 1 && bad_successor == kNodes) bad_successor = j;
+    }
     if (bad_successor < kNodes) {
       throw GraphShapeError(
           node_label(bad_successor), 1,
-          widths[bad_successor + 1],
+          kinds[bad_successor + 1].width,
           "run_process: an ordered farm must feed a serial stage or the sink "
           "(its resequencing point needs a single consuming rank)");
     }
@@ -861,41 +876,6 @@ class Plan {
           "run_process: an ordered farm cannot follow an unordered farm (its "
           "input stream is no longer in sequence order)");
     }
-  }
-
-  /// Runtime node-kind queries (for error labels): is graph node `j` a farm,
-  /// and is it ordered? Source, sink, and stages answer false.
-  [[nodiscard]] bool node_is_farm(std::size_t j) const {
-    bool farm = false;
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((farm = farm || (Is + 1 == j && detail::is_farm_node<mid_t<Is>>)), ...);
-    }(std::make_index_sequence<kMids>{});
-    return farm;
-  }
-  [[nodiscard]] bool node_is_ordered(std::size_t j) const {
-    bool ord = false;
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((ord = ord || (Is + 1 == j && is_ordered<Is>())), ...);
-    }(std::make_index_sequence<kMids>{});
-    return ord;
-  }
-  template <std::size_t I>
-  [[nodiscard]] bool is_ordered() const {
-    if constexpr (detail::is_farm_node<mid_t<I>>) {
-      return std::get<I>(mids_).ordered;
-    } else {
-      return false;
-    }
-  }
-
-  /// Is there an ordered farm strictly after mid `i`? (Its resequencer
-  /// would need the seq numbering still contiguous at this point.)
-  [[nodiscard]] bool ordered_farm_after(std::size_t i) const {
-    bool found = false;
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      ((found = found || (Is > i && is_ordered<Is>())), ...);
-    }(std::make_index_sequence<kMids>{});
-    return found;
   }
 
   // ------------------------------------------------- sequential driver --
@@ -997,12 +977,9 @@ class Plan {
   /// Mid node I: a serial stage (`fn` is its callable) or one farm replica
   /// (`fn` is the replica's own worker, flushed once at end of stream).
   template <std::size_t I, typename Fn, typename Rx, typename Tx>
-  void mid_role(const Config& cfg, Fn& fn, Rx& rx, Tx& tx) {
+  void mid_role(const Config& cfg, const Kinds& kinds, Fn& fn, Rx& rx, Tx& tx) {
     using Out = edge_t<I + 1>;
-    // An ordered farm sends a batch for every input seq, even an empty one,
-    // and so does every node upstream of it: its reordering point needs the
-    // numbering contiguous. Elsewhere an empty result sends nothing.
-    const bool keep_empties = is_ordered<I>() || ordered_farm_after(I);
+    const bool keep_empties = keeps_empties(kinds, I + 1);
     while (auto b = rx.recv()) {
       auto results = detail::apply_batch<Out>(fn, std::move(b->items));
       if (keep_empties || !results.empty()) {
@@ -1029,33 +1006,23 @@ class Plan {
     }
   }
 
-  /// Is edge E's producer an ordered farm? Its Channel then admits in
-  /// order, and its EdgeReceiver resequences.
-  template <std::size_t E>
-  [[nodiscard]] bool edge_from_ordered_farm() const {
-    if constexpr (E == 0) {
-      return false;
-    } else {
-      return is_ordered<E - 1>();
-    }
-  }
-
   // --------------------------------------------------- threaded driver --
 
   /// One jthread per slot of node_widths() and one Channel per edge. Farm
   /// workers are made here, on the calling thread; replica slot k owns
-  /// worker k.
+  /// worker k. Edge E's producer is node E: when that is an ordered farm,
+  /// the Channel admits in order.
   template <std::size_t... Es>
   RunStats run_threaded_impl(const Config& cfg, std::index_sequence<Es...>) {
-    const auto widths = node_widths();
+    const Kinds kinds = node_kinds();
     std::tuple<detail::Channel<edge_t<Es>>...> channels{detail::ChannelShape{
-        cfg.queue_capacity, widths[Es], edge_from_ordered_farm<Es>()}...};
+        cfg.queue_capacity, kinds[Es].width, kinds[Es].ordered}...};
     auto replicas = make_replicas(std::make_index_sequence<kMids>{});
     detail::ErrorSlot error;
     const auto cancel_all = [&] { (std::get<Es>(channels).cancel(), ...); };
     {
       std::vector<std::jthread> threads;
-      threads.reserve(static_cast<std::size_t>(ranks_required()));
+      threads.reserve(static_cast<std::size_t>(total_width(kinds)));
       const auto spawn = [&](auto role) {
         threads.emplace_back([&error, &cancel_all, role] {
           try {
@@ -1070,10 +1037,10 @@ class Plan {
         spawn([&] { source_role(cfg, std::get<0>(channels)); });
         [&]<std::size_t... Is>(std::index_sequence<Is...>) {
           ([&] {
-             for (int k = 0; k < widths[Is + 1]; ++k) {
+             for (int k = 0; k < kinds[Is + 1].width; ++k) {
                spawn([&, k] {
-                 mid_role<Is>(cfg, slot_fn<Is>(replicas, k), std::get<Is>(channels),
-                              std::get<Is + 1>(channels));
+                 mid_role<Is>(cfg, kinds, slot_fn<Is>(replicas, k),
+                              std::get<Is>(channels), std::get<Is + 1>(channels));
                });
              }
            }(),
@@ -1103,15 +1070,14 @@ class Plan {
   // ------------------------------------------------------- SPMD driver --
 
   template <std::size_t... Js>
-  void run_process_dispatch(mpl::Process& p, const Config& cfg,
-                            const std::vector<int>& widths,
+  void run_process_dispatch(mpl::Process& p, const Config& cfg, const Kinds& kinds,
                             const std::vector<int>& base, int tag_base,
                             std::index_sequence<Js...>) {
     const int rank = p.rank();
     bool matched = false;
     ((matched = matched ||
-                (rank >= base[Js] && rank < base[Js] + widths[Js] &&
-                 (run_node_role<Js>(p, cfg, widths, base, tag_base), true))),
+                (rank >= base[Js] && rank < base[Js] + kinds[Js].width &&
+                 (run_node_role<Js>(p, cfg, kinds, base, tag_base), true))),
      ...);
     (void)matched;  // ranks beyond the graph idle through the run
   }
@@ -1124,9 +1090,9 @@ class Plan {
     return static_cast<std::uint32_t>(std::max<std::size_t>(1, cap_batches / fan));
   }
 
-  static std::vector<int> node_ranks(const std::vector<int>& widths,
-                                     const std::vector<int>& base, std::size_t j) {
-    std::vector<int> ranks(static_cast<std::size_t>(widths[j]));
+  static std::vector<int> node_ranks(const Kinds& kinds, const std::vector<int>& base,
+                                     std::size_t j) {
+    std::vector<int> ranks(static_cast<std::size_t>(kinds[j].width));
     for (std::size_t k = 0; k < ranks.size(); ++k) {
       ranks[k] = base[j] + static_cast<int>(k);
     }
@@ -1136,44 +1102,44 @@ class Plan {
   /// Build the sender for edge E (producer: node E, consumer: node E+1).
   template <std::size_t E>
   detail::EdgeSender<edge_t<E>> make_sender(mpl::Process& p, const Config& cfg,
-                                            const std::vector<int>& widths,
+                                            const Kinds& kinds,
                                             const std::vector<int>& base,
                                             int tag_base) {
     return detail::EdgeSender<edge_t<E>>(
         p, tag_base + 2 * static_cast<int>(E), tag_base + 2 * static_cast<int>(E) + 1,
-        node_ranks(widths, base, E + 1), pair_credit(cfg, widths[E], widths[E + 1]));
+        node_ranks(kinds, base, E + 1),
+        pair_credit(cfg, kinds[E].width, kinds[E + 1].width));
   }
-  /// Build the receiver for edge E.
+  /// Build the receiver for edge E; it resequences when its producer,
+  /// node E, is an ordered farm.
   template <std::size_t E>
-  detail::EdgeReceiver<edge_t<E>> make_receiver(mpl::Process& p,
-                                                const std::vector<int>& widths,
+  detail::EdgeReceiver<edge_t<E>> make_receiver(mpl::Process& p, const Kinds& kinds,
                                                 const std::vector<int>& base,
                                                 int tag_base) {
     return detail::EdgeReceiver<edge_t<E>>(
         p, tag_base + 2 * static_cast<int>(E), tag_base + 2 * static_cast<int>(E) + 1,
-        node_ranks(widths, base, E), edge_from_ordered_farm<E>());
+        node_ranks(kinds, base, E), kinds[E].ordered);
   }
 
   /// This rank's slot of node J: build its edges, then run the role.
   template <std::size_t J>
-  void run_node_role(mpl::Process& p, const Config& cfg,
-                     const std::vector<int>& widths, const std::vector<int>& base,
-                     int tag_base) {
+  void run_node_role(mpl::Process& p, const Config& cfg, const Kinds& kinds,
+                     const std::vector<int>& base, int tag_base) {
     if constexpr (J == 0) {
-      auto tx = make_sender<0>(p, cfg, widths, base, tag_base);
+      auto tx = make_sender<0>(p, cfg, kinds, base, tag_base);
       source_role(cfg, tx);
     } else if constexpr (J == kNodes - 1) {
-      auto rx = make_receiver<kMids>(p, widths, base, tag_base);
+      auto rx = make_receiver<kMids>(p, kinds, base, tag_base);
       sink_role(rx);
     } else {
-      auto rx = make_receiver<J - 1>(p, widths, base, tag_base);
-      auto tx = make_sender<J>(p, cfg, widths, base, tag_base);
+      auto rx = make_receiver<J - 1>(p, kinds, base, tag_base);
+      auto tx = make_sender<J>(p, cfg, kinds, base, tag_base);
       auto& node = std::get<J - 1>(mids_);
       if constexpr (detail::is_farm_node<mid_t<J - 1>>) {
         auto worker = node.make_worker();
-        mid_role<J - 1>(cfg, worker, rx, tx);
+        mid_role<J - 1>(cfg, kinds, worker, rx, tx);
       } else {
-        mid_role<J - 1>(cfg, node.fn, rx, tx);
+        mid_role<J - 1>(cfg, kinds, node.fn, rx, tx);
       }
     }
   }

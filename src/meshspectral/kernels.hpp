@@ -40,6 +40,13 @@
 // signed zeros included). The build stays on portable flags by default
 // (no fast-math anywhere; PPA_NATIVE_ARCH affects bench executables only),
 // so no FMA-contraction or reassociation divergence is introduced.
+//
+// One exception: an output element whose inputs hold two NaNs with
+// different bits may come out with either NaN's bits. The compiler is free
+// to order the operands of a commutative add differently in two compiled
+// copies of one expression, and an add of two NaNs returns one of them.
+// Such an element is NaN in both results, so compare NaN results as a class
+// (any NaN equals any NaN), not by their bits.
 #pragma once
 
 #include <algorithm>

@@ -19,6 +19,47 @@ thread_local const Engine* t_rank_engine = nullptr;
 /// deadline/cancel/stall decision can be, and therefore (together with
 /// abort's wakeup latency) the teardown latency pinned by tests.
 constexpr auto kMonitorTick = std::chrono::milliseconds(1);
+
+std::vector<int> first_ranks(int nprocs) {
+  std::vector<int> ranks(static_cast<std::size_t>(nprocs));
+  std::iota(ranks.begin(), ranks.end(), 0);
+  return ranks;
+}
+
+/// The per-rank code of every job, cold or warm: bind logical rank
+/// `logical` of `ctx`, run the body, and on failure record it and abort the
+/// job so its ranks blocked in a recv/barrier/collective release.
+template <typename Body>
+void run_rank(JobContext& ctx, int logical, const Body& body,
+              std::exception_ptr& failure) {
+  Process process(ctx, logical);
+  try {
+    body(process);
+  } catch (...) {
+    failure = std::current_exception();
+    ctx.abort();
+  }
+}
+
+/// Rank a finished job's per-rank failures: a root cause beats the
+/// secondary WorldAborted ones its abort provoked. Rethrows the first root
+/// cause; otherwise returns the first WorldAborted, or null when every rank
+/// returned.
+std::exception_ptr rethrow_root_cause(
+    const std::vector<std::exception_ptr>& failures) {
+  std::exception_ptr first_aborted;
+  for (const auto& failure : failures) {
+    if (!failure) continue;
+    try {
+      std::rethrow_exception(failure);
+    } catch (const WorldAborted&) {
+      if (!first_aborted) first_aborted = failure;
+    } catch (...) {
+      std::rethrow_exception(failure);
+    }
+  }
+  return first_aborted;
+}
 }  // namespace
 
 bool on_engine_rank_thread() noexcept { return t_rank_engine != nullptr; }
@@ -128,20 +169,16 @@ void Engine::rank_main(int rank) {
       logical = assign_[slot].logical;
       exec = assign_[slot].exec;
     }
-    {
-      Process process(exec->ctx, logical);
-      try {
-        // Fault-injection crash site: a kThrow rule here models the whole
-        // rank body failing at job start. Keyed by physical rank so each
-        // rank's op-count stream stays deterministic under space-sharing.
-        (void)fault_point(FaultSite::kRankBody, rank);
-        (*exec->body)(process);
-      } catch (...) {
-        exec->failures[static_cast<std::size_t>(logical)] =
-            std::current_exception();
-        exec->ctx.abort();
-      }
-    }
+    run_rank(
+        exec->ctx, logical,
+        [&](Process& process) {
+          // Fault-injection crash site: a kThrow rule here models the whole
+          // rank body failing at job start. Keyed by physical rank so each
+          // rank's op-count stream stays deterministic under space-sharing.
+          (void)fault_point(FaultSite::kRankBody, rank);
+          (*exec->body)(process);
+        },
+        exec->failures[static_cast<std::size_t>(logical)]);
     {
       // exec lives in the submitter's frame: once remaining hits zero the
       // submitter may return, so exec must not be touched past this block.
@@ -243,16 +280,6 @@ void Engine::acquire_ranks(const std::vector<int>& ranks) {
   for (const int r : ranks) rank_busy_[static_cast<std::size_t>(r)] = true;
 }
 
-bool Engine::try_acquire_ranks(const std::vector<int>& ranks) {
-  const std::scoped_lock lock(ctrl_mutex_);
-  if (shutdown_) return false;
-  for (const int r : ranks) {
-    if (rank_busy_[static_cast<std::size_t>(r)]) return false;
-  }
-  for (const int r : ranks) rank_busy_[static_cast<std::size_t>(r)] = true;
-  return true;
-}
-
 void Engine::release_ranks(const std::vector<int>& ranks) {
   {
     const std::scoped_lock lock(ctrl_mutex_);
@@ -299,20 +326,7 @@ TraceSnapshot Engine::execute(JobExec& exec,
   if (options.any()) disarm_monitor(exec);
   jobs_.fetch_add(1, std::memory_order_relaxed);
 
-  // Prefer reporting a root-cause exception over secondary WorldAborted
-  // ones (same policy as the one-shot spmd_run).
-  std::exception_ptr first_aborted;
-  for (const auto& failure : exec.failures) {
-    if (!failure) continue;
-    try {
-      std::rethrow_exception(failure);
-    } catch (const WorldAborted&) {
-      if (!first_aborted) first_aborted = failure;
-    } catch (...) {
-      std::rethrow_exception(failure);
-    }
-  }
-  if (first_aborted) {
+  if (const std::exception_ptr first_aborted = rethrow_root_cause(exec.failures)) {
     // Every failure is a secondary WorldAborted: if the monitor initiated
     // the abort, surface its typed reason instead. (A job whose every rank
     // returned cleanly despite a late monitor abort reports success below —
@@ -335,28 +349,13 @@ TraceSnapshot Engine::execute(JobExec& exec,
   return exec.ctx.trace().snapshot();
 }
 
-namespace {
-void validate_submission(int nprocs, int width, const Engine* self,
-                         const Engine* rank_engine) {
-  if (nprocs < 1 || nprocs > width) {
-    throw std::invalid_argument("Engine::run: nprocs must be in [1, width()]");
-  }
-  if (rank_engine == self) {
-    throw std::logic_error(
-        "Engine::run called from one of this engine's own rank threads (a "
-        "job cannot submit to its own engine); use spmd_run, which falls "
-        "back to a cold world");
-  }
-}
-}  // namespace
-
 TraceSnapshot Engine::run_job(int nprocs,
                               const std::function<void(Process&)>& body,
                               const JobOptions& options) {
-  validate_submission(nprocs, width_, this, t_rank_engine);
-  std::vector<int> ranks(static_cast<std::size_t>(nprocs));
-  std::iota(ranks.begin(), ranks.end(), 0);
-  return run_on_ranks(ranks, body, options);
+  if (nprocs < 1 || nprocs > width_) {
+    throw std::invalid_argument("Engine::run: nprocs must be in [1, width()]");
+  }
+  return run_on_ranks(first_ranks(nprocs), body, options);
 }
 
 TraceSnapshot Engine::run_on_ranks(const std::vector<int>& ranks,
@@ -381,22 +380,31 @@ TraceSnapshot Engine::run_on_ranks(const std::vector<int>& ranks,
   }
 }
 
-bool Engine::try_run_job(int nprocs, const std::function<void(Process&)>& body,
-                         TraceSnapshot& out) {
-  validate_submission(nprocs, width_, this, t_rank_engine);
-  const InflightGuard guard(*this);
-  std::vector<int> ranks(static_cast<std::size_t>(nprocs));
-  std::iota(ranks.begin(), ranks.end(), 0);
-  if (!try_acquire_ranks(ranks)) return false;
-  JobExec exec(*world_, ranks);
-  try {
-    out = execute(exec, body, JobOptions{});
-  } catch (...) {
-    release_ranks(ranks);
-    throw;
+TraceSnapshot run_cold_job(int nprocs,
+                           const std::function<void(Process&)>& body) {
+  World world(nprocs);
+  JobContext ctx(world, first_ranks(nprocs));
+  std::vector<std::exception_ptr> failures(static_cast<std::size_t>(nprocs));
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(static_cast<std::size_t>(nprocs));
+    try {
+      for (int r = 0; r < nprocs; ++r) {
+        threads.emplace_back([&, r] {
+          run_rank(ctx, r, body, failures[static_cast<std::size_t>(r)]);
+        });
+      }
+    } catch (...) {
+      // A rank thread failed to start: release the started ranks, which
+      // may be blocked on the missing one, so the joins below return.
+      ctx.abort();
+      throw;
+    }
+  }  // jthreads join here
+  if (const std::exception_ptr aborted = rethrow_root_cause(failures)) {
+    std::rethrow_exception(aborted);
   }
-  release_ranks(ranks);
-  return true;
+  return ctx.trace().snapshot();
 }
 
 std::shared_ptr<Engine> process_engine(int min_width) {

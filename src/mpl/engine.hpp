@@ -21,16 +21,22 @@
 // explicit set. mpl::Scheduler (scheduler.hpp) is the serving front-end
 // that allocates rank sets and queues excess jobs with priorities.
 //
-// Each job opens a fresh *epoch* over its rank set: the job barrier is
-// armed for the job's width, the set's mailboxes are emptied (their lane
-// tables — the expensive part — persist), and the job's trace starts at
-// zero, so concurrent and consecutive jobs report independent traces
-// exactly as separate spmd_run calls would. Tag blocks reserved from the
-// World's shared TagSpace by runs inside a job are released when those runs
-// end; concurrent jobs' reservations are disjoint by construction (the
+// Every SPMD run is a job. A cold run (spmd_run_cold, spmd.hpp) goes through
+// run_cold_job below: a JobContext over ranks [0, nprocs) of a fresh World,
+// one new thread per rank, with the same per-rank code and the same failure
+// ranking as the engine — only the lifetimes of the threads and mailboxes
+// differ.
+//
+// Each job opens a fresh *epoch* over its rank set (JobContext::begin): the
+// job barrier is armed for the job's width, the set's mailboxes are emptied
+// (their lane tables — the expensive part — persist), and the job's trace
+// starts at zero, so concurrent and consecutive jobs report independent
+// traces exactly as separate spmd_run calls would. Tag blocks reserved from
+// the World's shared TagSpace by runs inside a job are released when those
+// runs end; concurrent jobs' reservations are disjoint by construction (the
 // allocator is thread-safe), so jobs can never collide on user tags.
 //
-// Failure semantics (identical to spmd_run, but scoped to the job): if any
+// Failure semantics (identical to a cold run, but scoped to the job): if any
 // rank of a job throws, that job's context aborts — every rank *of that
 // job* blocked in a recv/barrier/collective is released with WorldAborted,
 // while concurrent jobs on disjoint ranks keep running — and the first
@@ -138,15 +144,6 @@ class Engine {
                              const std::function<void(Process&)>& body,
                              const JobOptions& options = {});
 
-  /// Non-blocking submission: runs the job only if ranks [0, nprocs) are
-  /// all idle *right now*, returning false (without running anything)
-  /// otherwise. Never waits — the submitted run may be a transitive
-  /// dependency of an in-flight job (e.g. a thread-pool task the running
-  /// job is waiting on issues its own spmd_run), so blocking could
-  /// deadlock. Exceptions from a job that did run propagate as in run().
-  bool try_run_job(int nprocs, const std::function<void(Process&)>& body,
-                   TraceSnapshot& out);
-
  private:
   /// Why the monitor tore a job down (kNone = it did not).
   enum class FailureReason : int { kNone = 0, kCancelled, kDeadline, kStalled };
@@ -194,14 +191,12 @@ class Engine {
   void disarm_monitor(JobExec& exec);
   /// Block until every rank in the set is idle, then mark them busy.
   void acquire_ranks(const std::vector<int>& ranks);
-  /// Mark busy if all idle right now; false (nothing marked) otherwise.
-  bool try_acquire_ranks(const std::vector<int>& ranks);
   void release_ranks(const std::vector<int>& ranks);
   /// Dispatch + rendezvous + failure processing; ranks already acquired.
   TraceSnapshot execute(JobExec& exec, const std::function<void(Process&)>& body,
                         const JobOptions& options);
 
-  /// Counts submitter frames inside run_on_ranks/try_run_job so the
+  /// Counts submitter frames inside run_on_ranks so the
   /// destructor can drain them before tearing down members they touch.
   class InflightGuard;
 
@@ -242,6 +237,12 @@ class Engine {
 /// i.e. we are inside an SPMD job body. spmd_run uses this to route nested
 /// runs to a cold one-shot world instead of deadlocking on the engine.
 [[nodiscard]] bool on_engine_rank_thread() noexcept;
+
+/// Type-erased core of spmd_run_cold (spmd.hpp): one job over ranks
+/// [0, nprocs) of a fresh World, each rank on its own new thread, joined
+/// before return. Runs the engine's per-rank code and failure ranking, so
+/// a cold run reports what the same job reports on an engine.
+TraceSnapshot run_cold_job(int nprocs, const std::function<void(Process&)>& body);
 
 /// The lazily-created process-wide engine backing spmd_run, grown (by
 /// replacement) to at least `min_width` ranks. Returns a shared_ptr so a

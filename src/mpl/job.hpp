@@ -18,7 +18,7 @@
 // WorldAborted): JobCancelled (the job's CancelToken fired), JobDeadlineExceeded
 // (wall-clock budget elapsed), JobStalled (the watchdog saw no rank make
 // progress for a full grace period). In every case the engine's monitor
-// aborts the job's World — ranks blocked in recv/barrier/collectives are
+// aborts the job — its ranks blocked in recv/barrier/collectives are
 // released immediately — and the engine parks cleanly for the next job.
 // Bodies that poll Process::cancelled() between compute phases can exit
 // early; throw_if_cancelled() packages the common pattern.

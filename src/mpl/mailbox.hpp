@@ -87,7 +87,7 @@ class Mailbox {
 
   /// Block until a message matching (source, tag) is available and return it.
   /// Either selector may be a wildcard (kAnySource / kAnyTag).
-  /// Throws WorldAborted if the world is aborted while waiting.
+  /// Throws WorldAborted if the mailbox is aborted while waiting.
   Envelope pop(int source, int tag);
 
   /// Non-blocking variant; returns false if no matching message is queued.

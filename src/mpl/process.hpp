@@ -36,7 +36,7 @@
 // Thread-safety and blocking contract: a Process is the private handle of
 // one rank's thread — do not share it across threads. send* never block;
 // recv*, sendrecv, barrier and every collective block until satisfied (and
-// throw WorldAborted if the world is torn down). Ownership fast paths:
+// throw WorldAborted if the job is torn down). Ownership fast paths:
 // send(..., std::move(vec)) adopts the buffer (caller relinquishes it);
 // recv_borrow returns a zero-copy view valid while the Received<T> lives;
 // recv_into deserializes into caller-owned storage.
@@ -94,35 +94,25 @@ class Received {
 
 class Process {
  public:
-  Process(World& world, int rank) : world_(world), rank_(rank), prank_(rank) {
-    assert(rank >= 0 && rank < world.size());
-  }
-  /// Bind to one job of a space-shared World: this rank's *logical* rank
-  /// is `rank` in [0, job.nprocs()); the physical rank it occupies is
-  /// job.physical(rank). All communication, the barrier, the trace and
-  /// cancellation are scoped to the job, so the body observes exactly
-  /// what it would observe running solo on ranks [0, nprocs).
+  /// Bind to one job: this rank's *logical* rank is `rank` in
+  /// [0, job.nprocs()); the physical rank it occupies is job.physical(rank).
+  /// All communication, the barrier, the trace and cancellation are scoped
+  /// to the job, so the body observes exactly what it would observe running
+  /// solo on ranks [0, nprocs).
   Process(JobContext& job, int rank)
-      : world_(job.world()), job_(&job), rank_(rank), prank_(job.physical(rank)) {
+      : world_(job.world()), job_(job), rank_(rank), prank_(job.physical(rank)) {
     assert(rank >= 0 && rank < job.nprocs());
   }
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
 
   [[nodiscard]] int rank() const noexcept { return rank_; }
-  /// Ranks participating in this SPMD computation. On an engine-backed
-  /// World this is the *job's* width, which may be smaller than the
-  /// engine capacity world().size().
-  [[nodiscard]] int size() const noexcept {
-    return job_ != nullptr ? job_->nprocs() : world_.active_size();
-  }
+  /// Ranks participating in this SPMD computation: the *job's* width,
+  /// which may be smaller than the engine capacity world().size().
+  [[nodiscard]] int size() const noexcept { return job_.nprocs(); }
   [[nodiscard]] World& world() noexcept { return world_; }
-  /// This computation's communication trace: the job's own tracer on a
-  /// space-shared World (concurrent jobs never mix counters), the World's
-  /// otherwise.
-  [[nodiscard]] CommTrace& trace() noexcept {
-    return job_ != nullptr ? job_->trace() : world_.trace();
-  }
+  /// This job's communication trace (concurrent jobs never mix counters).
+  [[nodiscard]] CommTrace& trace() noexcept { return job_.trace(); }
   [[nodiscard]] bool is_root(int root = 0) const noexcept { return rank_ == root; }
 
   /// True when this job's cancellation was requested (the submitter's
@@ -130,9 +120,7 @@ class Process {
   /// called request_cancel()). Compute-heavy bodies should poll this
   /// between phases; blocked communication is released separately by the
   /// accompanying abort.
-  [[nodiscard]] bool cancelled() const noexcept {
-    return job_ != nullptr ? job_->cancel_requested() : world_.cancel_requested();
-  }
+  [[nodiscard]] bool cancelled() const noexcept { return job_.cancel_requested(); }
   /// Poll-and-exit helper: throws JobCancelled when cancelled() is true,
   /// which marks the job as cancelled at the submitter.
   void throw_if_cancelled() const {
@@ -219,7 +207,7 @@ class Process {
     // Arrival is this rank's heartbeat: a rank *waiting* for stragglers has
     // done its part; only ranks that never arrive read as stalled.
     world_.bump_progress(prank_);
-    (job_ != nullptr ? job_->barrier() : world_.barrier()).arrive_and_wait();
+    job_.barrier().arrive_and_wait();
   }
 
   /// Binomial-tree broadcast of a buffer from `root`. On non-root ranks the
@@ -410,11 +398,6 @@ class Process {
   /// rank: see the barrier note on determinism under space-sharing).
   void collective_entry() { (void)fault_point(FaultSite::kCollective, prank_); }
 
-  /// Physical rank occupied by logical rank `r` of this computation.
-  [[nodiscard]] int physical(int r) const noexcept {
-    return job_ != nullptr ? job_->physical(r) : r;
-  }
-
   // Raw send with tracing; used by both user sends and collectives.
   // `dest` is a logical rank; envelopes travel with *physical* source ranks
   // (mailbox lanes are per physical sender) and recv_envelope translates
@@ -424,7 +407,7 @@ class Process {
     // Sends never block, so a completed push is sender progress (heartbeat
     // for the watchdog) even when the matching receive is far away.
     world_.bump_progress(prank_);
-    world_.mailbox(physical(dest)).push(Envelope{prank_, tag, std::move(payload)});
+    world_.mailbox(job_.physical(dest)).push(Envelope{prank_, tag, std::move(payload)});
   }
 
   /// Serialize with physical-copy accounting.
@@ -456,9 +439,9 @@ class Process {
   /// sender's logical rank (wildcard receives can only match same-job
   /// senders — nobody else pushes into this job's mailboxes).
   Envelope recv_envelope(int source, int tag) {
-    const int lane = source >= 0 ? physical(source) : source;
+    const int lane = source >= 0 ? job_.physical(source) : source;
     Envelope env = world_.mailbox(prank_).pop(lane, tag);
-    if (job_ != nullptr && env.source >= 0) env.source = job_->logical(env.source);
+    if (env.source >= 0) env.source = job_.logical(env.source);
     return env;
   }
 
@@ -774,9 +757,9 @@ class Process {
   }
 
   World& world_;
-  JobContext* job_ = nullptr;  ///< non-null when bound to a space-shared job
-  int rank_;                   ///< logical rank within the computation
-  int prank_;                  ///< physical rank (== rank_ without a job)
+  JobContext& job_;
+  int rank_;   ///< logical rank within the job
+  int prank_;  ///< physical rank it occupies
   std::uint32_t collective_seq_ = 0;
 };
 

@@ -38,7 +38,7 @@
 //    engine's per-job monitor.
 //
 // Deadlock rules (the transitive-dependency hazard documented on
-// Engine::try_run_job applies doubly to a queue: a queued job whose
+// Scheduler::try_run_job applies doubly to a queue: a queued job whose
 // admission depends on a running job that is itself waiting on the queued
 // job's submitter would wedge both):
 //  * run() from one of the engine's own rank threads throws
@@ -119,8 +119,11 @@ class Scheduler {
 
   /// Admit-now-or-never: run the job only if the queue is empty and
   /// `nprocs` ranks are free right now; false (nothing ran) otherwise.
-  /// Never waits and never queues — safe to call where blocking could
-  /// deadlock (see the header notes); spmd_run's warm path.
+  /// Never waits and never queues: the submitted run may be a transitive
+  /// dependency of an in-flight job (e.g. a thread-pool task the running
+  /// job is waiting on issues its own spmd_run), so blocking could
+  /// deadlock. spmd_run's warm path. Exceptions from a job that did run
+  /// propagate as in run().
   bool try_run_job(int nprocs, const std::function<void(Process&)>& body,
                    TraceSnapshot& out);
 

@@ -5,17 +5,18 @@
 // archetype-supplied "code skeleton needed to create and connect the N
 // processes" (paper sections 3.5.3 and 5.3).
 //
-// spmd_run is a thin wrapper over the lazily-created process-wide
-// mpl::Engine (engine.hpp): the rank threads, mailboxes and barrier are
-// created once and *reused* across calls — each call is one job epoch on
-// warm ranks, which is what lets a serving-shaped workload issue a stream
-// of SPMD computations without paying thread creation per request. The
-// observable semantics are identical to the historical spawn-per-run
-// implementation (kept as spmd_run_cold, which also serves as the
-// cold-start baseline for benchmarks): fresh trace per run, same failure
-// propagation, per-run tag isolation.
+// Every run is one job (a JobContext, world.hpp), warm or cold. spmd_run is
+// a thin wrapper over the lazily-created process-wide mpl::Engine
+// (engine.hpp): the rank threads and mailboxes are created once and
+// *reused* across calls — each call is one job on warm ranks, which is what
+// lets a serving-shaped workload issue a stream of SPMD computations
+// without paying thread creation per request. spmd_run_cold runs the same
+// job on a fresh World with one new thread per rank (the nested-run
+// fallback, and the cold-start baseline for benchmarks); it shares the
+// engine's per-rank code and failure ranking, so both report the same
+// trace and the same failure for the same body.
 //
-// Failure semantics: if any rank throws, the world is aborted — every other
+// Failure semantics: if any rank throws, the job is aborted — every other
 // rank blocked in a recv/barrier/collective is released with WorldAborted —
 // and the first non-WorldAborted exception is rethrown in the caller. The
 // process-wide engine survives the abort and the next call runs clean.
@@ -26,9 +27,9 @@
 // side on disjoint rank sets when the engine is wide enough. The scheduler
 // path is admit-now-or-never — a call that cannot be admitted immediately
 // (ranks busy, or jobs already queued ahead of it) falls back to a cold
-// one-shot world, exactly the historical behavior, so interdependent runs —
-// e.g. a call issued (possibly through a thread pool) from work an
-// in-flight job depends on — can never deadlock on scheduler queueing. A
+// one-shot world, so interdependent runs — e.g. a call issued (possibly
+// through a thread pool) from work an in-flight job depends on — can never
+// deadlock on scheduler queueing. A
 // nested spmd_run — called from inside a rank's body — likewise runs on a
 // cold world. The body runs concurrently on N threads, each owning its
 // Process, its grids and its plans. State captured by reference into the
@@ -37,10 +38,7 @@
 // results).
 #pragma once
 
-#include <exception>
 #include <functional>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "mpl/engine.hpp"
@@ -50,47 +48,17 @@
 
 namespace ppa::mpl {
 
-/// One-shot SPMD run: fresh World, N fresh threads, throwaway trace — the
-/// historical spmd_run. Kept as the nested-run fallback and as the
+/// One-shot SPMD run: one job on a fresh World with N fresh threads
+/// (run_cold_job, engine.hpp). Kept as the nested-run fallback and as the
 /// cold-start contrast for the engine benchmarks; new code should prefer
 /// spmd_run (warm process engine) or an explicit Engine.
 template <typename Body>
 TraceSnapshot spmd_run_cold(int nprocs, Body&& body) {
-  World world(nprocs);
-  std::vector<std::exception_ptr> failures(static_cast<std::size_t>(nprocs));
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(static_cast<std::size_t>(nprocs));
-    for (int r = 0; r < nprocs; ++r) {
-      threads.emplace_back([&world, &failures, &body, r] {
-        Process process(world, r);
-        try {
-          body(process);
-        } catch (...) {
-          failures[static_cast<std::size_t>(r)] = std::current_exception();
-          world.abort();
-        }
-      });
-    }
-  }  // jthreads join here
-
-  // Prefer reporting a root-cause exception over secondary WorldAborted ones.
-  std::exception_ptr first_aborted;
-  for (const auto& failure : failures) {
-    if (!failure) continue;
-    try {
-      std::rethrow_exception(failure);
-    } catch (const WorldAborted&) {
-      if (!first_aborted) first_aborted = failure;
-    } catch (...) {
-      std::rethrow_exception(failure);
-    }
-  }
-  if (first_aborted) std::rethrow_exception(first_aborted);
-  return world.trace().snapshot();
+  return run_cold_job(nprocs,
+                      std::function<void(Process&)>([&body](Process& p) { body(p); }));
 }
 
-/// Run `body(process)` on `nprocs` ranks; returns the world's communication
+/// Run `body(process)` on `nprocs` ranks; returns the job's communication
 /// trace for the run. Executes as one job on the warm process-wide engine —
 /// via the process scheduler's non-queueing admission, so concurrent narrow
 /// runs space-share the engine — when it can be admitted immediately; a
@@ -100,13 +68,12 @@ TraceSnapshot spmd_run_cold(int nprocs, Body&& body) {
 /// transitively depends on this run).
 template <typename Body>
 TraceSnapshot spmd_run(int nprocs, Body&& body) {
+  const std::function<void(Process&)> fn([&body](Process& p) { body(p); });
   if (!on_engine_rank_thread()) {
-    const auto scheduler = process_scheduler(nprocs);
     TraceSnapshot out;
-    const std::function<void(Process&)> fn([&body](Process& p) { body(p); });
-    if (scheduler->try_run_job(nprocs, fn, out)) return out;
+    if (process_scheduler(nprocs)->try_run_job(nprocs, fn, out)) return out;
   }
-  return spmd_run_cold(nprocs, std::forward<Body>(body));
+  return run_cold_job(nprocs, fn);
 }
 
 /// Run an SPMD computation in which each rank produces a result; returns the

@@ -8,11 +8,8 @@ World::World(int size) : World(size, std::make_shared<TagSpace>()) {}
 
 World::World(int size, std::shared_ptr<TagSpace> tags)
     : size_(size),
-      active_size_(size),
       tags_(std::move(tags)),
-      progress_(size > 0 ? static_cast<std::size_t>(size) : 1),
-      barrier_(size),
-      trace_(size) {
+      progress_(size > 0 ? static_cast<std::size_t>(size) : 1) {
   if (size <= 0) throw std::invalid_argument("World size must be positive");
   if (!tags_) throw std::invalid_argument("World tag space must be non-null");
   mailboxes_.reserve(static_cast<std::size_t>(size));
@@ -23,24 +20,6 @@ World::World(int size, std::shared_ptr<TagSpace> tags)
     // (and identifies the owner at its fault-injection sites).
     mailboxes_.back()->bind_owner(r, &progress_[static_cast<std::size_t>(r)].value);
   }
-}
-
-void World::begin_epoch(int active) {
-  if (active < 1 || active > size_) {
-    throw std::invalid_argument("World::begin_epoch: active rank count out of range");
-  }
-  active_size_ = active;
-  barrier_.reset(active);
-  for (auto& box : mailboxes_) box->reset();
-  trace_.reset();
-  aborted_.store(false, std::memory_order_relaxed);
-  cancel_requested_.store(false, std::memory_order_relaxed);
-}
-
-void World::abort() {
-  aborted_.store(true, std::memory_order_relaxed);
-  barrier_.abort();
-  for (auto& box : mailboxes_) box->abort();
 }
 
 JobContext::JobContext(World& world, std::vector<int> ranks)
@@ -68,12 +47,10 @@ void JobContext::begin() {
   for (const int r : ranks_) world_.mailbox(r).reset();
   barrier_.reset(nprocs());
   trace_.reset();
-  aborted_.store(false, std::memory_order_relaxed);
   cancel_requested_.store(false, std::memory_order_relaxed);
 }
 
 void JobContext::abort() {
-  aborted_.store(true, std::memory_order_relaxed);
   barrier_.abort();
   for (const int r : ranks_) world_.mailbox(r).abort();
 }

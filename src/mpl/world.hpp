@@ -1,34 +1,27 @@
 // ppa/mpl/world.hpp
 //
-// The shared runtime state behind one SPMD computation: one mailbox per rank,
-// a barrier, and the communication tracer. A World corresponds to what the
-// paper calls the code skeleton's responsibility to "create and connect the N
-// processes".
+// The shared runtime state behind SPMD computations, in two scopes. A World
+// corresponds to what the paper calls the code skeleton's responsibility to
+// "create and connect the N processes"; a JobContext is one computation run
+// over some of those processes.
 //
-// Thread-safety and ownership: one World is shared by all rank threads of a
-// run and owns their mailboxes; it must outlive every Process bound to it
-// (spmd_run and the engine guarantee this by joining/rendezvousing before
-// destruction). mailbox(), barrier(), trace() and abort() are safe from any
-// rank thread; abort() is idempotent and never blocks.
+// World: what outlives a job — one mailbox per rank (their lane tables are
+// the expensive part to build), the recyclable tag space and the per-rank
+// progress counters. A persistent Engine keeps one World for its lifetime;
+// spmd_run_cold builds a fresh one per run.
 //
-// Epochs: a World created by a persistent Engine outlives any single SPMD
-// computation. begin_epoch(active) re-arms it for the next job — barrier to
-// `active` participants, mailboxes emptied, trace zeroed, abort and cancel
-// cleared — while keeping the warm state (mailbox lane tables, tag space,
-// progress counters) intact.
-// begin_epoch must only be called when no rank thread is inside any World
-// primitive (the engine calls it between jobs). A job may use fewer ranks
-// than the World holds: active_size() is the job's width, size() the
-// capacity.
+// JobContext: everything scoped to one computation — the barrier, the
+// communication trace, the cancel flag, and the mapping of the job's
+// logical ranks 0..np-1 to the physical ranks it occupies. Every
+// Process binds to a JobContext, so a job body observes exactly the same
+// world whether it runs cold on ranks [0, np), warm on an engine, or beside
+// sibling jobs on a disjoint rank set of a space-shared World. Mailboxes
+// stay per physical rank (a rank belongs to at most one job at a time).
 //
-// Concurrent disjoint jobs: a JobContext scopes everything that used to be
-// World-global epoch state — barrier, trace, abort and cancel flags — to
-// one job's *rank set*, so two jobs on disjoint rank sets of the same World
-// can run side by side (the scheduler's space-sharing). Mailboxes stay
-// per-physical-rank (a rank belongs to at most one job at a time); the
-// Process bound to a JobContext translates the job's logical ranks 0..np-1
-// to the physical ranks it occupies, so a job body observes exactly the
-// same world it would see running solo on ranks [0, np).
+// Thread-safety and ownership: a World must outlive every JobContext and
+// Process bound to it (spmd_run_cold and the engine guarantee this by
+// joining/rendezvousing before destruction). mailbox(), bump_progress() and
+// progress() are safe from any rank thread.
 #pragma once
 
 #include <atomic>
@@ -54,13 +47,9 @@ class World {
 
   /// Capacity: ranks with mailboxes (the engine's width).
   [[nodiscard]] int size() const noexcept { return size_; }
-  /// Width of the current job epoch (== size() outside an engine).
-  [[nodiscard]] int active_size() const noexcept { return active_size_; }
   [[nodiscard]] Mailbox& mailbox(int rank) {
     return *mailboxes_[static_cast<std::size_t>(rank)];
   }
-  [[nodiscard]] AbortableBarrier& barrier() noexcept { return barrier_; }
-  [[nodiscard]] CommTrace& trace() noexcept { return trace_; }
 
   /// This World's recyclable tag allocator (see tagspace.hpp). Every run
   /// that needs a private tag range should hold a TagBlock from here so the
@@ -72,49 +61,18 @@ class World {
   /// Reserve `count` tags as an RAII block (release-on-destruction).
   [[nodiscard]] TagBlock reserve_tags(int count) { return TagBlock(tags_, count); }
 
-  /// Re-arm for a new job over `active` ranks (1 <= active <= size()); see
-  /// the epoch notes above. Clears a previous abort and cancel request: a
-  /// failed job tears down the *job*, not the World.
-  void begin_epoch(int active);
-
-  /// Tear down: wake every blocked receiver/barrier-waiter with WorldAborted.
-  /// Called when any rank fails so the others do not deadlock.
-  void abort();
-  [[nodiscard]] bool aborted() const noexcept {
-    return aborted_.load(std::memory_order_relaxed);
-  }
-
-  /// Cooperative cancellation flag for the current epoch, surfaced to job
-  /// bodies as Process::cancelled(). Set by the engine's monitor (just
-  /// before it aborts) or by any rank; cleared by begin_epoch.
-  void request_cancel() noexcept {
-    cancel_requested_.store(true, std::memory_order_release);
-  }
-  [[nodiscard]] bool cancel_requested() const noexcept {
-    return cancel_requested_.load(std::memory_order_acquire);
-  }
-
   /// Per-rank heartbeat: bumped whenever rank completes a unit of substrate
   /// work (a send, a successful receive, a barrier arrival). Monotone across
-  /// epochs — the watchdog consumes deltas, so counters are never reset.
+  /// jobs — the watchdog consumes deltas, so counters are never reset.
   void bump_progress(int rank) noexcept {
     progress_[static_cast<std::size_t>(rank)].value.fetch_add(
         1, std::memory_order_relaxed);
   }
-  /// One rank's heartbeat (the scheduler's per-job watchdog sums these
-  /// over a job's rank set only).
+  /// One rank's heartbeat (the per-job watchdog sums these over a job's
+  /// rank set only).
   [[nodiscard]] std::uint64_t progress(int rank) const noexcept {
     return progress_[static_cast<std::size_t>(rank)].value.load(
         std::memory_order_relaxed);
-  }
-  /// Sum of all per-rank heartbeats; unchanged across a watchdog grace
-  /// period means no rank is making progress.
-  [[nodiscard]] std::uint64_t progress_total() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& counter : progress_) {
-      total += counter.value.load(std::memory_order_relaxed);
-    }
-    return total;
   }
 
  private:
@@ -125,22 +83,17 @@ class World {
   };
 
   int size_;
-  int active_size_;
   std::shared_ptr<TagSpace> tags_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<PaddedCounter> progress_;  ///< one per rank; see bump_progress
-  AbortableBarrier barrier_;
-  CommTrace trace_;  ///< sized for per-sender accounting; see world.cpp
-  std::atomic<bool> aborted_{false};
-  std::atomic<bool> cancel_requested_{false};
 };
 
-/// Per-job state for one computation over a *subset* of a World's ranks,
-/// enabling concurrent disjoint-rank jobs on one World. Owns the job's
+/// Per-job state for one computation over a set of a World's ranks (all of
+/// them for a cold run, a subset for a space-shared job). Owns the job's
 /// barrier (sized to the job width), its communication trace (indexed by
-/// the job's logical ranks), and its abort/cancel flags; abort() tears
-/// down only this job — its barrier and its ranks' mailboxes — leaving
-/// sibling jobs on the other ranks untouched.
+/// the job's logical ranks), and its cancel flag; abort() tears down only
+/// this job — its barrier and its ranks' mailboxes — leaving sibling jobs
+/// on the other ranks untouched.
 ///
 /// Thread-safety: begin() and the constructor must run while no thread is
 /// inside a primitive of any of this context's ranks (the engine admits a
@@ -175,7 +128,7 @@ class JobContext {
   [[nodiscard]] CommTrace& trace() noexcept { return trace_; }
 
   /// Open this job's epoch: empty and re-arm the rank set's mailboxes,
-  /// zero the trace, clear abort/cancel, re-arm the barrier. Only this
+  /// zero the trace, clear cancel, re-arm the barrier. Only this
   /// context's ranks are touched — concurrent sibling jobs are unaffected.
   void begin();
 
@@ -183,9 +136,6 @@ class JobContext {
   /// recv/barrier with WorldAborted. Idempotent, never blocks; sibling
   /// jobs on disjoint ranks keep running.
   void abort();
-  [[nodiscard]] bool aborted() const noexcept {
-    return aborted_.load(std::memory_order_relaxed);
-  }
 
   /// Cooperative cancellation for this job (Process::cancelled()).
   void request_cancel() noexcept {
@@ -206,7 +156,6 @@ class JobContext {
   std::vector<int> inverse_;  ///< physical -> logical, -1 outside the set
   AbortableBarrier barrier_;
   CommTrace trace_;  ///< indexed by logical rank
-  std::atomic<bool> aborted_{false};
   std::atomic<bool> cancel_requested_{false};
 };
 

@@ -1,6 +1,7 @@
 // Unit tests for the persistent SPMD engine (mpl/engine.hpp): warm-rank job
 // submission, per-job epochs (independent traces, re-armed barrier, emptied
-// mailboxes), abort-then-reuse, the spmd_run warm wrapper, recyclable tag
+// mailboxes), abort-then-reuse, the spmd_run warm wrapper, cold runs agreeing
+// with engine jobs on traces and failure ranking, recyclable tag
 // blocks (mpl/tagspace.hpp), and the archetype drivers submitting through a
 // Scheduler over a warm engine (pipeline::run_engine, bnb::solve_engine,
 // onedeep::run_engine).
@@ -224,6 +225,70 @@ TEST(SpmdRunWarm, DependentConcurrentRunsDoNotDeadlock) {
   const auto trace = spmd_run(2, [](Process& p) { p.barrier(); });
   EXPECT_EQ(trace.op(Op::kBarrier), 2u);
   release.store(true);
+}
+
+// -------------------------------------------------------------- cold run --
+
+TEST(ColdRun, TraceMatchesEngineRunAtEveryWidth) {
+  // Per-rank sends of rank-dependent sizes, an allreduce, a barrier and an
+  // alltoall: a cold run and an engine job must count every one the same.
+  const auto body = [](std::vector<int>& sums) {
+    return [&sums](Process& p) {
+      const int np = p.size();
+      const int me = p.rank();
+      const std::vector<double> out(static_cast<std::size_t>(me + 1), 1.0);
+      p.send((me + 1) % np, 5, out);
+      const auto got = p.recv<double>((me + np - 1) % np, 5);
+      sums[static_cast<std::size_t>(me)] =
+          p.allreduce(static_cast<int>(got.size()), SumOp{});
+      p.barrier();
+      std::vector<std::vector<int>> parts(static_cast<std::size_t>(np));
+      for (int j = 0; j < np; ++j) {
+        parts[static_cast<std::size_t>(j)].assign(
+            static_cast<std::size_t>(me + j + 1), me);
+      }
+      (void)p.alltoall(std::move(parts));
+    };
+  };
+  Engine engine(4);
+  for (int np = 1; np <= 4; ++np) {
+    std::vector<int> cold_sums(static_cast<std::size_t>(np), -1);
+    std::vector<int> warm_sums(static_cast<std::size_t>(np), -1);
+    const TraceSnapshot cold = spmd_run_cold(np, body(cold_sums));
+    const TraceSnapshot warm = engine.run(np, body(warm_sums));
+    EXPECT_EQ(cold_sums, warm_sums) << "np=" << np;
+    EXPECT_EQ(cold.messages, warm.messages) << "np=" << np;
+    EXPECT_EQ(cold.bytes, warm.bytes) << "np=" << np;
+    EXPECT_EQ(cold.copies, warm.copies) << "np=" << np;
+    EXPECT_EQ(cold.copied_bytes, warm.copied_bytes) << "np=" << np;
+    EXPECT_EQ(cold.sent_bytes_by_rank, warm.sent_bytes_by_rank) << "np=" << np;
+    EXPECT_EQ(cold.sent_bytes_by_rank.size(), static_cast<std::size_t>(np));
+    for (int op = 0; op < kOpCount; ++op) {
+      EXPECT_EQ(cold.op(static_cast<Op>(op)), warm.op(static_cast<Op>(op)))
+          << "np=" << np << " op=" << op_name(static_cast<Op>(op));
+    }
+  }
+}
+
+TEST(ColdRun, RethrowsRootCauseOverWorldAborted) {
+  std::atomic<int> released{0};
+  std::atomic<int> saw_cancelled{0};
+  EXPECT_THROW(spmd_run_cold(4,
+                             [&](Process& p) {
+                               if (p.cancelled()) saw_cancelled.fetch_add(1);
+                               if (p.rank() == 1) throw std::out_of_range("rank 1");
+                               try {
+                                 // Never satisfied: released only by the abort.
+                                 (void)p.recv<int>((p.rank() + 1) % 4, 99);
+                               } catch (const WorldAborted&) {
+                                 released.fetch_add(1);
+                                 if (p.cancelled()) saw_cancelled.fetch_add(1);
+                                 throw;
+                               }
+                             }),
+               std::out_of_range);
+  EXPECT_EQ(released.load(), 3);
+  EXPECT_EQ(saw_cancelled.load(), 0) << "a rank failure is not a cancellation";
 }
 
 // ------------------------------------------------------------- tag space --

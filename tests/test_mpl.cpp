@@ -308,7 +308,7 @@ TEST(Trace, StandaloneTraceCountsTotalsWithoutPerRankBytes) {
 }
 
 TEST(Trace, ResetZeroesEveryRankBlock) {
-  // A World's trace is re-armed with reset() at each epoch.
+  // A job's trace is re-armed with reset() at each epoch.
   CommTrace trace(3);
   for (int r = 0; r < 3; ++r) {
     trace.count_message(r, 8u * static_cast<std::uint64_t>(r + 1));
