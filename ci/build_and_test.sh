@@ -171,16 +171,11 @@ else
   echo "==> TSan leg skipped (no usable -fsanitize=thread toolchain)"
 fi
 
-# AddressSanitizer + UndefinedBehaviorSanitizer leg over the stream engine
-# and the suites around it, plus the euler2d flux sweep (its row buffers are
-# indexed one column either side of each region, where an off-by-one would
-# land), the kernel suite, the message substrate (the mailbox lanes'
-# linked envelope blocks are recycled between producer and consumer) with
-# the suites that drive it, and the engine and scheduler suites (every job,
-# cold or warm, binds its ranks to a JobContext that lives in the
-# submitter's frame while rank threads use it): the flags go in through
-# CMAKE_CXX_FLAGS and CMAKE_EXE_LINKER_FLAGS, so PPA_SANITIZE stays a
-# thread-only switch. Same reduced soak as the TSan leg.
+# AddressSanitizer + UndefinedBehaviorSanitizer leg over every suite but
+# test_task, whose work-stealing pool overflows its stack under ASan's
+# larger frames (ROADMAP item 3): the flags go in through CMAKE_CXX_FLAGS
+# and CMAKE_EXE_LINKER_FLAGS, so PPA_SANITIZE stays a thread-only switch.
+# Same reduced soak as the TSan leg.
 ASAN_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 if echo 'int main(){}' | g++ -xc++ -fsanitize=address,undefined -o /tmp/asan_probe - 2>/dev/null; then
   echo "==> ASan+UBSan build"
@@ -188,12 +183,12 @@ if echo 'int main(){}' | g++ -xc++ -fsanitize=address,undefined -o /tmp/asan_pro
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
     -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-asan" -j "$JOBS"
-  echo "==> ASan+UBSan test (engine + scheduler + pipeline + compose + faults + core + cfd + kernels + substrate + mpl + collectives + poisson)"
+  echo "==> ASan+UBSan test (every suite but task)"
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     PPA_FAULT_SOAK_JOBS=40 PPA_SCHED_SOAK_JOBS=40 PPA_COMPOSE_SMOKE=1 \
     ctest --test-dir "$BUILD_DIR-asan" \
     --output-on-failure -j "$JOBS" \
-    -R 'test_engine|test_scheduler|test_pipeline|test_compose|test_faults|test_core|test_app_cfd|test_kernels|test_substrate|test_mpl|test_collectives|test_app_poisson'
+    -E '^test_task$'
 else
   echo "==> ASan+UBSan leg skipped (no usable -fsanitize=address,undefined toolchain)"
 fi

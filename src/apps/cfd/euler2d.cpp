@@ -1,32 +1,103 @@
 #include "apps/cfd/euler2d.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace ppa::app {
 
 namespace {
 
-/// Pressure from conserved state.
+/// Pressure from the conserved components of one cell (T = double) or of
+/// two, one per lane (T = v2d below).
+template <typename T>
+T pressure(T rho, T mx, T my, T E, double gamma) {
+  const T kinetic = 0.5 * (mx * mx + my * my) / rho;
+  return (gamma - 1.0) * (E - kinetic);
+}
+
 double pressure(const EulerState& s, double gamma) {
-  const double kinetic = 0.5 * (s.mx * s.mx + s.my * s.my) / s.rho;
-  return (gamma - 1.0) * (s.E - kinetic);
+  return pressure(s.rho, s.mx, s.my, s.E, gamma);
 }
 
-/// Sound speed.
-double sound_speed(const EulerState& s, double gamma) {
-  return std::sqrt(gamma * pressure(s, gamma) / s.rho);
+double root(double x) { return std::sqrt(x); }
+double magnitude(double x) { return std::abs(x); }
+/// std::max(m, d), spelled so that it also folds two lanes at once.
+template <typename T>
+T fold_max(T m, T d) {
+  return d > m ? d : m;
 }
 
-/// Physical flux in x from a cell's state, x velocity `u` and pressure `p`.
-EulerState flux_x(const EulerState& s, double u, double p) {
-  return {s.mx, s.mx * u + p, s.my * u, (s.E + p) * u};
+#if defined(__SSE2__)
+using v2d = double __attribute__((vector_size(16)));
+using v2u = unsigned long long __attribute__((vector_size(16)));
+
+v2d root(v2d x) { return _mm_sqrt_pd(x); }
+v2d magnitude(v2d x) {
+  const v2u mask = {~0ULL >> 1, ~0ULL >> 1};
+  return (v2d)((v2u)x & mask);
+}
+#endif
+
+/// A cell's face-flux terms from its conserved components, in
+/// EulerCellFlux's member order: physical flux along x, along y, then
+/// |u| + c and |v| + c. T = v2d computes two cells, one per lane.
+template <typename T>
+std::array<T, 10> cell_terms(T rho, T mx, T my, T E, double gamma) {
+  const T p = pressure(rho, mx, my, E, gamma);
+  const T u = mx / rho;
+  const T v = my / rho;
+  const T c = root(gamma * p / rho);
+  return {mx, mx * u + p, my * u, (E + p) * u,
+          my, mx * v, my * v + p, (E + p) * v,
+          magnitude(u) + c, magnitude(v) + c};
 }
 
-/// Physical flux in y from a cell's state, y velocity `v` and pressure `p`.
-EulerState flux_y(const EulerState& s, double v, double p) {
-  return {s.my, s.mx * v, s.my * v + p, (s.E + p) * v};
+/// The row kernel: the primitives of cells s[k0, k1), stored as each
+/// cell's face-flux terms into w[k] unless w is null, and `m` folded with
+/// every cell's |u| + c and |v| + c. On SSE2 two cells share each divide
+/// and square root; IEEE rounds every lane as it rounds a scalar, so each
+/// stored term is bitwise the scalar tail's. Max is exact, so the two
+/// lanes' running maxima fold to the forward-order fold's value.
+double cell_fluxes(const EulerState* PPA_RESTRICT s,
+                   EulerCellFlux* PPA_RESTRICT w, std::ptrdiff_t k0,
+                   std::ptrdiff_t k1, double gamma, double m) {
+  std::ptrdiff_t k = k0;
+#if defined(__SSE2__)
+  v2d m2 = {m, m};
+  for (; k + 2 <= k1; k += 2) {
+    // Lane 0 holds cell k, lane 1 cell k + 1.
+    const v2d a = _mm_loadu_pd(&s[k].rho), b = _mm_loadu_pd(&s[k].my);
+    const v2d c = _mm_loadu_pd(&s[k + 1].rho), d = _mm_loadu_pd(&s[k + 1].my);
+    const auto t = cell_terms<v2d>(_mm_unpacklo_pd(a, c), _mm_unpackhi_pd(a, c),
+                                   _mm_unpacklo_pd(b, d), _mm_unpackhi_pd(b, d),
+                                   gamma);
+    if (w != nullptr) {
+      for (int h = 0; h < 2; ++h) {
+        w[k + h] = {{t[0][h], t[1][h], t[2][h], t[3][h]},
+                    {t[4][h], t[5][h], t[6][h], t[7][h]},
+                    t[8][h],
+                    t[9][h]};
+      }
+    }
+    m2 = fold_max(fold_max(m2, t[8]), t[9]);
+  }
+  m = fold_max(m2[0], m2[1]);
+#endif
+  for (; k < k1; ++k) {
+    const EulerState& q = s[k];
+    const auto t = cell_terms(q.rho, q.mx, q.my, q.E, gamma);
+    if (w != nullptr) {
+      w[k] = {{t[0], t[1], t[2], t[3]}, {t[4], t[5], t[6], t[7]}, t[8], t[9]};
+    }
+    m = fold_max(fold_max(m, t[8]), t[9]);
+  }
+  return m;
 }
 
 EulerState axpy(const EulerState& a, const EulerState& b, double c) {
@@ -44,23 +115,17 @@ EulerState rusanov(const EulerState& l, const EulerState& r, double sl,
           0.5 * (fl.E + fr.E) - 0.5 * smax * (r.E - l.E)};
 }
 
-/// Local max wave speed over one grid's interior (row pointers hoisted;
-/// same per-cell expressions and traversal order as the per-point form).
-double local_max_wave_speed(const mesh::Grid2D<EulerState>& u, double gamma,
-                            double floor) {
-  double local = floor;
+/// Local max wave speed over one grid's interior, `floor` included. Kept
+/// out of line so the carried maximum stays in a register (GCC 12 held an
+/// inlined running max in a stack slot; see poisson.cpp).
+[[gnu::noinline]] double local_max_wave_speed(
+    const mesh::Grid2D<EulerState>& u, double gamma, double floor) {
   const auto nx = static_cast<std::ptrdiff_t>(u.nx());
   const auto ny = static_cast<std::ptrdiff_t>(u.ny());
   for (std::ptrdiff_t i = 0; i < nx; ++i) {
-    const EulerState* PPA_RESTRICT r = u.row(i);
-    for (std::ptrdiff_t j = 0; j < ny; ++j) {
-      const EulerState& s = r[j];
-      const double c = sound_speed(s, gamma);
-      local = std::max(local, std::abs(s.mx / s.rho) + c);
-      local = std::max(local, std::abs(s.my / s.rho) + c);
-    }
+    floor = cell_fluxes(u.row(i), nullptr, 0, ny, gamma, floor);
   }
-  return local;
+  return floor;
 }
 
 /// The scenario's domain topology: x periodic per the config, y always.
@@ -112,8 +177,8 @@ CfdSim::CfdSim(mpl::Process& p, const mesh::BlockLayout2D& layout,
       plan_(u_) {
   std::size_t width = 0;
   for (const auto& b : u_) width = std::max(width, b.grid().ny());
-  prim_cur_.resize(width + 2);
-  prim_next_.resize(width + 2);
+  cells_cur_.resize(width + 2);
+  cells_next_.resize(width + 2);
   xface_.resize(width + 2);
 }
 
@@ -164,27 +229,16 @@ void CfdSim::flux_update(const mesh::Grid2D<EulerState>& u,
   // Columns [j0 - 1, j1] of the region's rows map to k in [0, n + 1].
   const std::ptrdiff_t n = rect.j1 - rect.j0;
   const std::ptrdiff_t off = rect.j0 - 1;
-  CellPrim* cur = prim_cur_.data();
-  CellPrim* next = prim_next_.data();
+  EulerCellFlux* cur = cells_cur_.data();
+  EulerCellFlux* next = cells_next_.data();
   EulerState* PPA_RESTRICT fx = xface_.data();
-  const auto prims = [gamma](const EulerState* PPA_RESTRICT s,
-                             CellPrim* PPA_RESTRICT w, std::ptrdiff_t k0,
-                             std::ptrdiff_t k1) {
-    for (std::ptrdiff_t k = k0; k < k1; ++k) {
-      const EulerState& q = s[k];
-      const double p = pressure(q, gamma);
-      w[k] = {q.mx / q.rho, q.my / q.rho, p, std::sqrt(gamma * p / q.rho)};
-    }
+  const auto face_x = [](const EulerState& l, const EulerCellFlux& wl,
+                         const EulerState& r, const EulerCellFlux& wr) {
+    return rusanov(l, r, wl.sx, wr.sx, wl.fx, wr.fx);
   };
-  const auto face_x = [](const EulerState& l, const CellPrim& wl,
-                         const EulerState& r, const CellPrim& wr) {
-    return rusanov(l, r, std::abs(wl.u) + wl.c, std::abs(wr.u) + wr.c,
-                   flux_x(l, wl.u, wl.p), flux_x(r, wr.u, wr.p));
-  };
-  const auto face_y = [](const EulerState& l, const CellPrim& wl,
-                         const EulerState& r, const CellPrim& wr) {
-    return rusanov(l, r, std::abs(wl.v) + wl.c, std::abs(wr.v) + wr.c,
-                   flux_y(l, wl.v, wl.p), flux_y(r, wr.v, wr.p));
+  const auto face_y = [](const EulerState& l, const EulerCellFlux& wl,
+                         const EulerState& r, const EulerCellFlux& wr) {
+    return rusanov(l, r, wl.sy, wr.sy, wl.fy, wr.fy);
   };
 
   // x faces above the first row. Rows outside the region feed only x
@@ -192,8 +246,8 @@ void CfdSim::flux_update(const mesh::Grid2D<EulerState>& u,
   {
     const EulerState* PPA_RESTRICT um = u.row(rect.i0 - 1) + off;
     const EulerState* PPA_RESTRICT uc = u.row(rect.i0) + off;
-    prims(um, next, 1, n + 1);
-    prims(uc, cur, 0, n + 2);
+    cell_fluxes(um, next, 1, n + 1, gamma, 0.0);
+    cell_fluxes(uc, cur, 0, n + 2, gamma, 0.0);
     for (std::ptrdiff_t k = 1; k <= n; ++k) {
       fx[k] = face_x(um[k], next[k], uc[k], cur[k]);
     }
@@ -202,12 +256,12 @@ void CfdSim::flux_update(const mesh::Grid2D<EulerState>& u,
     const EulerState* PPA_RESTRICT uc = u.row(i) + off;
     const EulerState* PPA_RESTRICT up = u.row(i + 1) + off;
     EulerState* PPA_RESTRICT out = unew.row(i) + off;
-    const CellPrim* PPA_RESTRICT wc = cur;
-    CellPrim* PPA_RESTRICT wp = next;
+    const EulerCellFlux* PPA_RESTRICT wc = cur;
+    EulerCellFlux* PPA_RESTRICT wp = next;
     if (i + 1 < rect.i1) {
-      prims(up, wp, 0, n + 2);
+      cell_fluxes(up, wp, 0, n + 2, gamma, 0.0);
     } else {
-      prims(up, wp, 1, n + 1);
+      cell_fluxes(up, wp, 1, n + 1, gamma, 0.0);
     }
     EulerState fym = face_y(uc[0], wc[0], uc[1], wc[1]);
     for (std::ptrdiff_t k = 1; k <= n; ++k) {

@@ -8,17 +8,23 @@
 // Physics: compressible Euler equations, conserved variables
 // U = (rho, rho*u, rho*v, E), ideal gas p = (gamma-1)(E - rho(u^2+v^2)/2).
 // Numerics: finite volume with Rusanov (local Lax-Friedrichs) fluxes,
-// dimension-by-dimension, CFL-limited explicit Euler stepping. The flux
-// update sweeps a rectangle of a block row by row with its own kernel
-// (not kern::sweep_rim_rows): each cell's velocity, pressure and sound
-// speed are computed once into a rolling row buffer, each x-face flux is
-// carried from one row to the next and each y-face flux along the row, so
-// every face flux is evaluated once. A face flux is the same pure function
-// of its two states wherever it is evaluated, so the result is bitwise the
-// per-cell form (tests/seq_oracles.hpp) under any decomposition. The
-// ghost-independent core is one rectangle; the rim is at most four (top
-// rows, bottom rows, left and right strips), or the whole block when its
-// core is empty.
+// dimension-by-dimension, CFL-limited explicit Euler stepping. One row
+// kernel computes every cell's primitives (velocity, pressure, sound
+// speed), two cells at a time on SSE2: divpd and sqrtpd round each lane
+// exactly as divsd and sqrtsd round a scalar, so each lane holds the bits
+// of the one-cell form. The dt reduction runs it for the carried max
+// wave speed alone. The flux update runs it into a rolling row buffer
+// that caches each cell's physical fluxes along x and y and its two wave
+// speeds, so a face flux only combines its two cells' cached terms, and
+// each cell's physical fluxes are evaluated once. The update sweeps a
+// rectangle of a block row by row (not through kern::sweep_rim_rows),
+// carrying each x-face flux from one row to the next and each y-face flux
+// along the row, so every face flux is evaluated once too. A face flux is
+// the same pure function of its two states wherever it is evaluated, so
+// the result is bitwise the per-cell form (tests/seq_oracles.hpp) under
+// any decomposition. The ghost-independent core is one rectangle; the rim
+// is at most four (top rows, bottom rows, left and right strips), or the
+// whole block when its core is empty.
 //
 // Archetype structure per step (the mesh pattern, split-phase):
 //   1. begin the halo exchange (one batched BlockExchangePlan2D round over
@@ -66,6 +72,16 @@ struct EulerPrim {
 
 [[nodiscard]] EulerState to_conserved(const EulerPrim& w, double gamma);
 [[nodiscard]] EulerPrim to_primitive(const EulerState& s, double gamma);
+
+/// One cell's terms of the Rusanov fluxes through its faces: its physical
+/// fluxes along x and y, and its wave speeds |u| + c and |v| + c. CfdSim's
+/// flux update caches them one row at a time.
+struct EulerCellFlux {
+  EulerState fx;
+  EulerState fy;
+  double sx = 0.0;
+  double sy = 0.0;
+};
 
 struct CfdConfig {
   std::size_t nx = 192;  ///< cells in x
@@ -142,12 +158,6 @@ class CfdSim {
   [[nodiscard]] double dy() const { return dy_; }
 
  private:
-  /// Velocity, pressure and sound speed of one cell: what a face flux
-  /// reads besides the conserved state.
-  struct CellPrim {
-    double u, v, p, c;
-  };
-
   void apply_physical_bcs();
   /// Flux-differenced update of rectangle `rect` of one block, u -> unew.
   void flux_update(const mesh::Grid2D<EulerState>& u,
@@ -165,9 +175,9 @@ class CfdSim {
   EulerState inflow_;
   mesh::BlockExchangePlan2D plan_;  ///< one batched round per step
   // flux_update's row buffers, sized once from the widest owned block + 2:
-  // primitives of the current and next row, and the x-face fluxes carried
-  // from one row to the next.
-  std::vector<CellPrim> prim_cur_, prim_next_;
+  // the cached face-flux terms (EulerCellFlux) of the current and the next
+  // row, and the x-face fluxes carried from one row to the next.
+  std::vector<EulerCellFlux> cells_cur_, cells_next_;
   std::vector<EulerState> xface_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace ppa::mpl {
 
@@ -94,18 +95,24 @@ TraceSnapshot Scheduler::dispatch(Ticket& ticket,
   return out;
 }
 
-TraceSnapshot Scheduler::run_job(int nprocs,
-                                 const std::function<void(Process&)>& body,
-                                 Priority priority, const JobOptions& options) {
+void Scheduler::validate_submission(int nprocs, const char* entry) const {
   if (nprocs < 1 || nprocs > engine_->width()) {
-    throw std::invalid_argument("Scheduler::run: nprocs must be in [1, width()]");
+    throw std::invalid_argument(std::string(entry) +
+                                ": nprocs must be in [1, width()]");
   }
   if (engine_->calling_from_rank_thread()) {
     throw std::logic_error(
-        "Scheduler::run called from one of the engine's own rank threads (a "
-        "job body must not queue on its own engine); use spmd_run, which "
-        "falls back to a cold world");
+        std::string(entry) +
+        " called from one of the engine's own rank threads (a job body must "
+        "not submit to its own engine); use spmd_run, which falls back to a "
+        "cold world");
   }
+}
+
+TraceSnapshot Scheduler::run_job(int nprocs,
+                                 const std::function<void(Process&)>& body,
+                                 Priority priority, const JobOptions& options) {
+  validate_submission(nprocs, "Scheduler::run");
 
   Ticket ticket;
   ticket.nprocs = nprocs;
@@ -188,14 +195,7 @@ TraceSnapshot Scheduler::run_job(int nprocs,
 bool Scheduler::try_run_job(int nprocs,
                             const std::function<void(Process&)>& body,
                             TraceSnapshot& out) {
-  if (nprocs < 1 || nprocs > engine_->width()) {
-    throw std::invalid_argument("Scheduler::run: nprocs must be in [1, width()]");
-  }
-  if (engine_->calling_from_rank_thread()) {
-    throw std::logic_error(
-        "Scheduler::try_run_job called from one of the engine's own rank "
-        "threads; use spmd_run, which falls back to a cold world");
-  }
+  validate_submission(nprocs, "Scheduler::try_run_job");
   Ticket ticket;
   ticket.nprocs = nprocs;
   {

@@ -146,6 +146,10 @@ class Scheduler {
   /// cv_ after unlocking when this may have changed any ticket's state.
   /// Returns true when any ticket changed state.
   bool grant_locked(std::chrono::steady_clock::time_point now);
+  /// Both entry points' checks, in messages that name `entry`: nprocs in
+  /// [1, width()] (std::invalid_argument), and a caller that is not one of
+  /// the engine's rank threads (std::logic_error).
+  void validate_submission(int nprocs, const char* entry) const;
   /// Lowest-index allocation; empty result when nprocs ranks are not free.
   std::vector<int> allocate_locked(int nprocs);
   void release_locked(const std::vector<int>& ranks);

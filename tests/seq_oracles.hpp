@@ -34,12 +34,20 @@ template <typename T>
 class Framed2 {
  public:
   Framed2(std::size_t nx, std::size_t ny)
-      : ny_(static_cast<std::ptrdiff_t>(ny)), data_((nx + 2) * (ny + 2)) {}
+      : nx_(static_cast<std::ptrdiff_t>(nx)),
+        ny_(static_cast<std::ptrdiff_t>(ny)),
+        data_((nx + 2) * (ny + 2)) {}
   T& operator()(std::ptrdiff_t i, std::ptrdiff_t j) {
     return data_[static_cast<std::size_t>((i + 1) * (ny_ + 2) + (j + 1))];
   }
+  const T& operator()(std::ptrdiff_t i, std::ptrdiff_t j) const {
+    return data_[static_cast<std::size_t>((i + 1) * (ny_ + 2) + (j + 1))];
+  }
+  [[nodiscard]] std::ptrdiff_t nx() const { return nx_; }
+  [[nodiscard]] std::ptrdiff_t ny() const { return ny_; }
 
  private:
+  std::ptrdiff_t nx_;
   std::ptrdiff_t ny_;
   std::vector<T> data_;
 };
@@ -119,6 +127,23 @@ inline EulerState rusanov_y(const EulerState& l, const EulerState& r,
 
 }  // namespace euler
 
+/// The global max wave speed max(|u| + c, |v| + c) over the interior cells
+/// of `u`, folded in row order from CfdSim::step's floor of 1e-12.
+inline double euler_max_wave_speed(const Framed2<app::EulerState>& u,
+                                   double gamma) {
+  using app::EulerState;
+  double smax = 1e-12;
+  for (std::ptrdiff_t i = 0; i < u.nx(); ++i) {
+    for (std::ptrdiff_t j = 0; j < u.ny(); ++j) {
+      const EulerState& q = u(i, j);
+      const double cs = euler::sound_speed(q, gamma);
+      smax = std::max(smax, std::abs(q.mx / q.rho) + cs);
+      smax = std::max(smax, std::abs(q.my / q.rho) + cs);
+    }
+  }
+  return smax;
+}
+
 /// `steps` CfdSim::step calls on one grid, starting from the state
 /// init(i, j) (global cell indices, as CfdSim::set_state); returns the
 /// final conserved state.
@@ -153,16 +178,7 @@ Array2D<app::EulerState> euler_steps(const app::CfdConfig& c, Init&& init,
     }
 
     // dt from the global max wave speed.
-    double smax = 1e-12;
-    for (std::ptrdiff_t i = 0; i < nx; ++i) {
-      for (std::ptrdiff_t j = 0; j < ny; ++j) {
-        const EulerState& q = u(i, j);
-        const double cs = euler::sound_speed(q, c.gamma);
-        smax = std::max(smax, std::abs(q.mx / q.rho) + cs);
-        smax = std::max(smax, std::abs(q.my / q.rho) + cs);
-      }
-    }
-    const double dt = c.cfl * std::min(dx, dy) / smax;
+    const double dt = c.cfl * std::min(dx, dy) / euler_max_wave_speed(u, c.gamma);
     const double cx = dt / dx;
     const double cy = dt / dy;
 

@@ -3,6 +3,7 @@
 // (bitwise), positivity, shock propagation, and Rankine-Hugoniot setup.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
@@ -382,6 +383,51 @@ TEST(CfdBlocks, RandomStateMatchesOracleBitwise) {
               << "," << j << ")";
         }
       }
+    }
+  }
+}
+
+TEST(CfdBlocks, MaxWaveSpeedMatchesOracleBitwise) {
+  // Rows of 1 to 9 cells give the row kernel 0-4 two-cell pairs and 0 or 1
+  // tail cell. The blocks split x only, so every block row is a whole
+  // domain row; a seeded shuffle of the round-robin map picks the owners.
+  CfdConfig cfg;
+  cfg.nx = 8;
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> pos(0.5, 2.0), speed(0.05, 0.6);
+  std::bernoulli_distribution flip(0.5);
+  for (std::size_t ny = 1; ny <= 9; ++ny) {
+    cfg.ny = ny;
+    oracle::Framed2<EulerState> u(cfg.nx, ny);
+    for (std::ptrdiff_t i = 0; i < u.nx(); ++i) {
+      for (std::ptrdiff_t j = 0; j < u.ny(); ++j) {
+        const double rho = pos(rng);
+        const double vx = flip(rng) ? -speed(rng) : speed(rng);
+        const double vy = flip(rng) ? -speed(rng) : speed(rng);
+        u(i, j) = app::to_conserved({rho, vx, vy, pos(rng)}, cfg.gamma);
+      }
+    }
+    const double want = oracle::euler_max_wave_speed(u, cfg.gamma);
+    for (const int np : {1, 2, 4}) {
+      mesh::BlockConfig config;
+      config.nbx = 4;
+      config.nby = 1;
+      config.owner = mesh::distribute_blocks_round_robin(4, np);
+      std::shuffle(config.owner.begin(), config.owner.end(), rng);
+      const auto layout = mesh::block_layout(config, np, cfg.nx, cfg.ny,
+                                             mesh::Periodicity{false, true});
+      double got = 0.0;
+      mpl::spmd_run(np, [&](mpl::Process& proc) {
+        CfdSim sim(proc, layout, config.owner, cfg);
+        sim.set_state([&](std::size_t i, std::size_t j) {
+          return u(static_cast<std::ptrdiff_t>(i), static_cast<std::ptrdiff_t>(j));
+        });
+        const double smax = sim.max_wave_speed();
+        if (proc.rank() == 0) got = smax;
+      });
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "ny=" << ny << " np=" << np << ": " << got << " vs " << want;
     }
   }
 }

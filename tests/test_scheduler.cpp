@@ -397,6 +397,32 @@ TEST(SchedulerQueue, DeadlineExpiringWhileQueuedRejectsWithoutAdmission) {
 
 // --------------------------------------------- nested/dependent submission --
 
+TEST(SchedulerValidation, OutOfRangeWidthThrowsNamingItsEntryPoint) {
+  auto engine = std::make_shared<Engine>(2);
+  Scheduler sched(engine);
+  // The invalid_argument message of a submission; empty when none is thrown.
+  const auto message_of = [](const auto& submit) -> std::string {
+    try {
+      submit();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return {};
+  };
+  for (const int nprocs : {0, engine->width() + 1}) {
+    const std::string run =
+        message_of([&] { (void)sched.run(nprocs, [](Process&) {}); });
+    EXPECT_EQ(run.rfind("Scheduler::run: ", 0), 0u)
+        << "nprocs=" << nprocs << ": " << run;
+    TraceSnapshot out;
+    const std::string try_run = message_of(
+        [&] { (void)sched.try_run_job(nprocs, [](Process&) {}, out); });
+    EXPECT_EQ(try_run.rfind("Scheduler::try_run_job: ", 0), 0u)
+        << "nprocs=" << nprocs << ": " << try_run;
+  }
+  EXPECT_EQ(sched.stats().submitted, 0u);
+}
+
 TEST(SchedulerNesting, SpmdRunInsideScheduledJobGoesCold) {
   auto engine = std::make_shared<Engine>(2);
   Scheduler sched(engine);
