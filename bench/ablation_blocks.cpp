@@ -5,10 +5,7 @@
 //       into 1, 4, and 16 blocks per rank: per-step time plus the boundary
 //       traffic of one batched round (more blocks = more halo perimeter,
 //       but the per-peer message count stays put);
-//   (b) batched vs per-pair A/B — the same block set exchanged as one
-//       coalesced message per peer rank vs one message per (block,
-//       neighbor-block) pair: messages per round and time per step;
-//   (c) sparse vs dense allocation — the drifting-blob advection workload
+//   (b) sparse vs dense allocation — the drifting-blob advection workload
 //       with every block materialized up front vs blocks woken by the
 //       exchange and retired by the deallocation sweep: peak storage and
 //       time, with the >= 2x memory-reduction verdict.
@@ -39,11 +36,10 @@ mesh::BlockLayout2D jacobi_layout(std::size_t n, int nbx, int nby) {
   return layout;
 }
 
-/// One 5-point Jacobi run over a multi-block domain; every mode performs
-/// identical arithmetic, only the exchange schedule differs. Returns
-/// seconds per step.
+/// One 5-point Jacobi run over a multi-block domain; every decomposition
+/// performs identical arithmetic. Returns seconds per step.
 double run_block_sweep(int nprocs, std::size_t n, int nbx, int nby,
-                       bool batched, int steps) {
+                       int steps) {
   const auto layout = jacobi_layout(n, nbx, nby);
   const auto owner = mesh::distribute_blocks_contiguous(layout.nblocks(), nprocs);
   const double total = microbench::time_best_of(1, [&] {
@@ -53,8 +49,7 @@ double run_block_sweep(int nprocs, std::size_t n, int nbx, int nby,
       u.init_from_global([](std::size_t i, std::size_t j) {
         return std::sin(static_cast<double>(i * 7 + j * 3));
       });
-      mesh::BlockExchangePlan2D plan(
-          u, mesh::BlockExchangeOptions{false, 0, batched, false, 0.0});
+      mesh::BlockExchangePlan2D plan(u);
       for (int s = 0; s < steps; ++s) {
         plan.begin_exchange_all(p, u);
         plan.end_exchange_all(p, u);
@@ -73,9 +68,9 @@ double run_block_sweep(int nprocs, std::size_t n, int nbx, int nby,
   return total / static_cast<double>(steps);
 }
 
-/// Boundary traffic of `steps` exchange rounds for a layout/mode.
+/// Boundary traffic of `steps` exchange rounds for a layout.
 mpl::TraceSnapshot block_trace(int nprocs, std::size_t n, int nbx, int nby,
-                               bool batched, int steps) {
+                               int steps) {
   const auto layout = jacobi_layout(n, nbx, nby);
   const auto owner = mesh::distribute_blocks_contiguous(layout.nblocks(), nprocs);
   mpl::TraceSnapshot trace;
@@ -84,8 +79,7 @@ mpl::TraceSnapshot block_trace(int nprocs, std::size_t n, int nbx, int nby,
       [&](mpl::Process& p) {
         mesh::BlockSet<double> u(layout, owner, p.rank());
         u.init_from_global([](std::size_t, std::size_t) { return 1.0; });
-        mesh::BlockExchangePlan2D plan(
-            u, mesh::BlockExchangeOptions{false, 0, batched, false, 0.0});
+        mesh::BlockExchangePlan2D plan(u);
         for (int s = 0; s < steps; ++s) plan.exchange_all(p, u);
         return 0;
       },
@@ -117,10 +111,10 @@ int main() {
   for (const auto& [nbx, nby] : std::vector<std::pair<int, int>>{
            {2, 2}, {4, 4}, {8, 8}}) {
     const int nblocks = nbx * nby;
-    const auto trace = block_trace(kP, n, nbx, nby, true, steps);
+    const auto trace = block_trace(kP, n, nbx, nby, steps);
     double best = 1e300;
     for (int r = 0; r < reps; ++r) {
-      best = std::min(best, run_block_sweep(kP, n, nbx, nby, true, steps));
+      best = std::min(best, run_block_sweep(kP, n, nbx, nby, steps));
     }
     if (nblocks == kP) t_one_per_rank = best;
     std::printf("  %5dx%-2d %10d %14.1f %16.1f %14.6f\n", nbx, nby,
@@ -140,41 +134,12 @@ int main() {
   std::printf("  (oversubscription adds interior-boundary copies, not "
               "messages)\n");
 
-  // --- (b) batched vs per-pair messages --------------------------------------
-  std::printf("\n(b) batched (one message per peer rank) vs per-pair "
-              "exchange, 8x8 blocks, P=%d\n", kP);
-  std::printf("  %10s %14s %16s %14s\n", "mode", "msgs/round",
-              "payload/round", "time (s/step)");
-  double msgs[2] = {0.0, 0.0};
-  for (const bool batched : {true, false}) {
-    const auto trace = block_trace(kP, n, 8, 8, batched, steps);
-    double best = 1e300;
-    for (int r = 0; r < reps; ++r) {
-      best = std::min(best, run_block_sweep(kP, n, 8, 8, batched, steps));
-    }
-    msgs[batched ? 0 : 1] = static_cast<double>(trace.messages) / steps;
-    std::printf("  %10s %14.1f %16.1f %14.6f\n",
-                batched ? "batched" : "per-pair",
-                static_cast<double>(trace.messages) / steps,
-                static_cast<double>(trace.bytes) / steps, best);
-    microbench::Result r{batched ? "blocks/exchange_batched"
-                                 : "blocks/exchange_per_pair",
-                         {}};
-    r.set("p", static_cast<double>(kP))
-        .set("n", static_cast<double>(n))
-        .set("messages_per_round",
-             static_cast<double>(trace.messages) / steps)
-        .set("bytes_per_round", static_cast<double>(trace.bytes) / steps)
-        .set("seconds_per_op", best);
-    reporter.add(std::move(r));
-  }
-
-  // --- (c) sparse vs dense allocation ----------------------------------------
+  // --- (b) sparse vs dense allocation ----------------------------------------
   app::SparseAdvectConfig cfg;
   cfg.nx = cfg.ny = smoke ? 128 : 256;
   cfg.nbx = cfg.nby = 8;
   cfg.steps = smoke ? 80 : 240;
-  std::printf("\n(c) drifting-blob advection %zux%zu, 8x8 blocks, P=%d: "
+  std::printf("\n(b) drifting-blob advection %zux%zu, 8x8 blocks, P=%d: "
               "dense vs sparse allocation\n", cfg.nx, cfg.ny, kP);
   app::SparseAdvectConfig dense_cfg = cfg;
   dense_cfg.sparse = false;
@@ -222,9 +187,6 @@ int main() {
   reporter.write_json("BENCH_blocks.json");
 
   std::printf("\nShape verdicts:\n");
-  ok &= bench::verdict(
-      "batched round sends fewer messages than per-pair exchange",
-      msgs[0] < msgs[1]);
   ok &= bench::verdict("sparse allocation cuts peak storage by >= 2x",
                        mem_ratio >= 2.0);
   (void)t_one_per_rank;  // timings are recorded, not gated: host-dependent.

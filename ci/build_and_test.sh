@@ -151,9 +151,12 @@ awk '
 # ThreadSanitizer leg: the engine's monitor/abort/fault paths are the racy
 # part of the codebase, the per-rank CommTrace counter blocks are written
 # concurrently by every rank of a job (the mpl, collectives and poisson
-# suites drive them), and the mailbox lanes hand envelopes from sender to
+# suites drive them), the mailbox lanes hand envelopes from sender to
 # receiver through a lock-free published count (the substrate suite drives
-# them directly); vet them under TSan when the toolchain
+# them directly), and the fixed-peer channels hand scalar collectives and
+# block-plan halo buffers over a lock-free sequence word and credit count
+# (the collectives, faults, blockset, cfd and airshed suites drive them);
+# vet them under TSan when the toolchain
 # supports it (probe first — some images ship g++ without libtsan). Bench
 # and examples are skipped (timing-sensitive), and the fault soak runs
 # reduced.
@@ -162,11 +165,11 @@ if echo 'int main(){}' | g++ -xc++ -fsanitize=thread -o /tmp/tsan_probe - 2>/dev
   cmake -B "$BUILD_DIR-tsan" -S . -DPPA_SANITIZE=thread \
     -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-tsan" -j "$JOBS"
-  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + mpl + collectives + poisson + substrate)"
+  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + mpl + collectives + poisson + substrate + blockset + cfd + airshed)"
   PPA_FAULT_SOAK_JOBS=40 PPA_SCHED_SOAK_JOBS=40 PPA_COMPOSE_SMOKE=1 \
     ctest --test-dir "$BUILD_DIR-tsan" \
     --output-on-failure -j "$JOBS" \
-    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_mpl|test_collectives|test_app_poisson|test_substrate'
+    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_mpl|test_collectives|test_app_poisson|test_substrate|test_blockset|test_app_cfd|test_app_airshed'
 else
   echo "==> TSan leg skipped (no usable -fsanitize=thread toolchain)"
 fi

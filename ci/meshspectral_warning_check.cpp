@@ -89,8 +89,7 @@ namespace {
   (void)bs.dense_bytes();
   (void)bs.sweep_deallocate([](double) { return false; }, 2);
   BlockExchangePlan2D bplan(
-      bs, BlockExchangeOptions{/*corners=*/true, 0, /*batched=*/true,
-                               /*sparse=*/true, 0.0});
+      bs, BlockExchangeOptions{/*corners=*/true, 0, /*sparse=*/true, 0.0});
   bplan.begin_exchange_all(p, bs);
   bplan.end_exchange_all(p, bs);
   bplan.exchange_all(p, bs);

@@ -92,8 +92,7 @@ SparseAdvectStats sparse_advect_process(mpl::Process& p,
   // tail it was retired for.
   const double alloc_threshold = std::max(cfg.dealloc_threshold, 0.0);
   mesh::BlockExchangePlan2D plan(
-      c, mesh::BlockExchangeOptions{false, 0, cfg.batched, cfg.sparse,
-                                    alloc_threshold});
+      c, mesh::BlockExchangeOptions{false, 0, cfg.sparse, alloc_threshold});
 
   SparseAdvectStats stats;
   stats.total_blocks = static_cast<std::size_t>(layout.nblocks());

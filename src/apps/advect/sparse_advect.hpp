@@ -42,7 +42,6 @@ struct SparseAdvectConfig {
   double cy0 = 0.15;
   double radius = 0.08;  ///< blob radius (fraction); support is compact
   bool sparse = true;    ///< false: allocate every block up front (dense)
-  bool batched = true;   ///< one message per peer rank vs one per pair
   /// >= 0 enables the deallocation sweep at this triviality threshold
   /// (|v| <= threshold counts as empty); < 0 disables it (bitwise mode).
   double dealloc_threshold = -1.0;

@@ -44,23 +44,26 @@
 // at begin in the same record format (snapshot semantics, like
 // ExchangePlan2D) and applied in the same two-pass order at end.
 //
-// Buffers: one copy out, one copy in. begin copies each strip's row
-// segments straight from the grid into the message; end copies them from
-// the borrowed payload straight into the ghost rows. The per-round receive
-// and record tables are members, so a round allocates only its outgoing
-// messages.
+// Transport and buffers: each peer's message travels on the fixed-peer
+// channel (mpl/channel.hpp) from this rank to that peer under the plan's
+// key, kPlanChannelBase + tag_block. One copy out, one copy in: begin
+// packs each strip's row segments straight from the grid into the
+// channel's buffer; end unpacks them from that buffer, borrowed in place,
+// straight into the ghost rows, then releases it. The buffers belong to
+// the channel (two per channel, alternating rounds), so a plan owns no
+// message memory, a round allocates nothing once the buffers have grown to
+// the round's size, and destroying a plan mid-round waits for no peer.
+// At one block per rank the round sends one message per neighbor rank;
+// only a peer reached through two directions (a periodic axis two blocks
+// wide) gets one coalesced message instead of two.
 //
-// Modes: `batched = false` sends one message per entry (same records, same
-// canonical order, same single tag — correct because the mailbox is FIFO
-// per (source, tag)). That is the A/B baseline for bench/ablation_blocks.
-// At one block per rank the batched round sends one message per neighbor
-// rank; only a peer reached through two directions (a periodic axis two
-// blocks wide) gets one coalesced message instead of two.
-//
-// Tags: a plan uses ONE tag — kExchangeTagBase + tag_block *
-// kExchangeTagStride + 27 (offset 27 keeps it disjoint from the 0..26
-// direction tags of any ExchangePlan2D/3D sharing the tag block). Block
-// plans simultaneously in flight need distinct tag blocks.
+// Tags: a plan owns one tag block, and with it one channel per (peer,
+// direction); every message carries the tag kExchangeTagBase + tag_block *
+// kExchangeTagStride + 27, which the receiving channel checks. Block plans
+// simultaneously in flight need distinct tag blocks — then their rounds
+// may begin and end in any interleaving, and a collective between begin
+// and end (euler2d's dt allreduce) rides its own channel. Plans on one tag
+// block used one after another share its channels in SPMD order.
 //
 // Thread-safety and ownership: owned by one rank (thread); holds no
 // reference to any block set — begin/end take the set as an argument and
@@ -82,9 +85,13 @@
 #include "meshspectral/blockset.hpp"
 #include "meshspectral/grid2d.hpp"
 #include "meshspectral/plan.hpp"
+#include "mpl/channel.hpp"
 #include "mpl/process.hpp"
 
 namespace ppa::mesh {
+
+static_assert(kExchangeTagBlocks <= mpl::kPlanChannelBlocks,
+              "every exchange tag block needs its own plan channel key");
 
 /// Options for a block-set exchange plan. Periodicity lives in the
 /// BlockLayout2D (it is a property of the domain, not of one plan).
@@ -93,9 +100,6 @@ struct BlockExchangeOptions {
   bool corners = false;
   /// Tag block index; plans simultaneously in flight need distinct blocks.
   int tag_block = 0;
-  /// One coalesced message per peer rank (default) vs one message per
-  /// (block, neighbor-block) pair — the ablation baseline.
-  bool batched = true;
   /// Enable the sparse allocation protocol: unallocated destinations
   /// materialize when an incoming strip is non-trivial, otherwise stay
   /// storage-free.
@@ -127,67 +131,49 @@ class BlockExchangePlan2D {
       : BlockExchangePlan2D(blocks.layout(), blocks.owner_map(), blocks.rank(),
                             options) {}
 
-  /// Pack every off-rank halo strip and send one batched message per peer
-  /// rank (never blocks); stage the on-rank copies. Sent and staged data
-  /// are a snapshot — interior writes after begin do not alter them.
+  /// Pack every off-rank halo strip into one batched message per peer
+  /// rank and publish it; stage the on-rank copies. Waits only for credit:
+  /// a peer still unpacking the round before the previous one. Sent and
+  /// staged data are a snapshot — interior writes after begin do not alter
+  /// them.
   template <typename T>
   void begin_exchange_all(mpl::Process& p, BlockSet<T>& blocks) {
     check_blockset(blocks);
     assert(!in_flight_ && "BlockExchangePlan2D: begin without matching end");
     in_flight_ = true;
     for (const auto& pl : send_peers_) {
-      if (options_.batched) {
-        std::vector<std::byte> buf;
-        buf.reserve(pl.entries.size() * sizeof(std::uint64_t) +
-                    pl.total_count * sizeof(T));
-        for (const auto& e : pl.entries) append_record(buf, blocks, e);
-        p.send(pl.peer, tag_, std::move(buf));
-      } else {
-        for (const auto& e : pl.entries) {
-          std::vector<std::byte> buf;
-          buf.reserve(sizeof(std::uint64_t) + e.count * sizeof(T));
-          append_record(buf, blocks, e);
-          p.send(pl.peer, tag_, std::move(buf));
-        }
-      }
+      std::byte* out = p.channel_buffer(pl.peer, key_, max_bytes<T>(pl));
+      std::size_t n = 0;
+      for (const auto& e : pl.entries) n += write_record(out + n, blocks, e);
+      p.channel_send(pl.peer, key_, tag_, n);
     }
     // On-rank pairs are staged in the wire format too, so end applies them
     // through the same record path as incoming messages.
-    staged_local_.clear();
-    for (const auto& e : local_edges_) append_record(staged_local_, blocks, e);
+    staged_local_.resize(std::max(staged_local_.size(), max_bytes<T>(local_)));
+    staged_bytes_ = 0;
+    for (const auto& e : local_.entries) {
+      staged_bytes_ +=
+          write_record(staged_local_.data() + staged_bytes_, blocks, e);
+    }
   }
 
   /// Block until every peer's batched message has arrived, then apply the
   /// round: allocation pass first (sparse mode), then unpack — incoming
   /// strips into ghost cells, zero-fill for strips from deallocated
-  /// sources, on-rank staged copies alongside.
+  /// sources, on-rank staged copies alongside — and hand the buffers back.
   template <typename T>
   void end_exchange_all(mpl::Process& p, BlockSet<T>& blocks) {
     check_blockset(blocks);
     assert(in_flight_ && "BlockExchangePlan2D: end without begin");
     in_flight_ = false;
 
-    // Receive everything up front (safe: all sends happened at begin and
-    // never block), then index every record in the borrowed payloads.
-    payloads_.clear();
+    // Receive everything up front (every peer published at its begin),
+    // then index every record in the borrowed buffers.
     records_.clear();
     for (const auto& pl : recv_peers_) {
-      const std::size_t n = options_.batched ? 1 : pl.entries.size();
-      for (std::size_t k = 0; k < n; ++k) {
-        payloads_.push_back(p.recv_borrow<std::byte>(pl.peer, tag_));
-      }
+      index_records<T>(p.channel_recv(pl.peer, key_, tag_), pl.entries);
     }
-    std::size_t next = 0;
-    for (const auto& pl : recv_peers_) {
-      if (options_.batched) {
-        index_records<T>(payloads_[next++].view(), pl.entries);
-      } else {
-        for (const auto& e : pl.entries) {
-          index_records<T>(payloads_[next++].view(), {&e, 1});
-        }
-      }
-    }
-    index_records<T>(staged_local_, local_edges_);
+    index_records<T>({staged_local_.data(), staged_bytes_}, local_.entries);
 
     // Allocation pass: a deallocated destination materializes iff some
     // incoming strip from this round is non-trivial — *before* any strip
@@ -212,7 +198,7 @@ class BlockExchangePlan2D {
       if (dst.allocated()) apply_strip(dst.grid(), r.edge->recv, r.data);
     }
     records_.clear();
-    payloads_.clear();
+    for (const auto& pl : recv_peers_) p.channel_release(pl.peer, key_);
   }
 
   /// Blocking convenience: begin immediately followed by end (no overlap).
@@ -223,9 +209,9 @@ class BlockExchangePlan2D {
   }
 
   /// Off-rank messages this rank sends per round (== receives per round):
-  /// one per peer rank when batched, one per boundary pair otherwise.
+  /// one per peer rank.
   [[nodiscard]] std::size_t off_rank_message_count() const noexcept {
-    return options_.batched ? send_peers_.size() : send_entry_total_;
+    return send_peers_.size();
   }
   /// Peer ranks sharing at least one block boundary with this rank.
   [[nodiscard]] std::size_t peer_count() const noexcept {
@@ -237,7 +223,7 @@ class BlockExchangePlan2D {
   }
   /// On-rank directed pairs handled by local copy (no message).
   [[nodiscard]] std::size_t local_copy_count() const noexcept {
-    return local_edges_.size();
+    return local_.entries.size();
   }
   [[nodiscard]] bool in_flight() const noexcept { return in_flight_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
@@ -275,7 +261,9 @@ class BlockExchangePlan2D {
     owner_ = std::move(owner);
     rank_ = rank;
     options_ = options;
-    tag_ = kExchangeTagBase + options.tag_block * kExchangeTagStride + 27;
+    tag_ = static_cast<std::uint32_t>(kExchangeTagBase +
+                                      options.tag_block * kExchangeTagStride + 27);
+    key_ = mpl::kPlanChannelBase + options.tag_block;
     const auto g = static_cast<std::ptrdiff_t>(layout.ghost);
     if (g == 0) return;
 #ifndef NDEBUG
@@ -334,7 +322,8 @@ class BlockExchangePlan2D {
                                 (e.recv.j1 - e.recv.j0)) &&
                  "BlockExchangePlan2D: send/recv strip extents disagree");
           if (src_owner == rank && dst_owner == rank) {
-            local_edges_.push_back(e);
+            local_.entries.push_back(e);
+            local_.total_count += e.count;
           } else if (src_owner == rank) {
             sends.push_back({dst_owner, e});
           } else {
@@ -352,7 +341,7 @@ class BlockExchangePlan2D {
     };
     std::sort(sends.begin(), sends.end(), canon);
     std::sort(recvs.begin(), recvs.end(), canon);
-    std::sort(local_edges_.begin(), local_edges_.end(),
+    std::sort(local_.entries.begin(), local_.entries.end(),
               [](const BlockEdge& a, const BlockEdge& b) {
                 if (a.src_id != b.src_id) return a.src_id < b.src_id;
                 if (a.dst_id != b.dst_id) return a.dst_id < b.dst_id;
@@ -371,32 +360,38 @@ class BlockExchangePlan2D {
     };
     group(sends, send_peers_, send_entry_total_);
     group(recvs, recv_peers_, recv_entry_total_);
-    payloads_.reserve(options.batched ? recv_peers_.size() : recv_entry_total_);
-    records_.reserve(recv_entry_total_ + local_edges_.size());
+    records_.reserve(recv_entry_total_ + local_.entries.size());
   }
 
-  /// Append one wire record for edge `e` (owned source block) to `buf`,
-  /// copying the strip's row segments straight from the grid.
+  /// Bytes of a round's records for `pl` when every source is allocated.
   template <typename T>
-  static void append_record(std::vector<std::byte>& buf,
-                            const BlockSet<T>& blocks, const BlockEdge& e) {
+  [[nodiscard]] static std::size_t max_bytes(const PeerList& pl) noexcept {
+    return pl.entries.size() * sizeof(std::uint64_t) +
+           pl.total_count * sizeof(T);
+  }
+
+  /// Write one wire record for edge `e` (owned source block) at `out`,
+  /// copying the strip's row segments straight from the grid; returns its
+  /// size.
+  template <typename T>
+  static std::size_t write_record(std::byte* out, const BlockSet<T>& blocks,
+                                  const BlockEdge& e) {
     const auto& src =
         blocks.block(static_cast<std::size_t>(blocks.local_index(e.src_id)));
     const std::uint64_t status = src.allocated() ? 1 : 0;
-    const std::size_t off = buf.size();
-    buf.resize(off + sizeof status + (status != 0 ? e.count * sizeof(T) : 0));
-    std::memcpy(buf.data() + off, &status, sizeof status);
-    if (status == 0) return;
+    std::memcpy(out, &status, sizeof status);
+    if (status == 0) return sizeof status;
     const auto& g = src.grid();
-    std::byte* out = buf.data() + off + sizeof status;
+    out += sizeof status;
     const auto w = static_cast<std::size_t>(e.send.j1 - e.send.j0) * sizeof(T);
     for (std::ptrdiff_t i = e.send.i0; i < e.send.i1; ++i, out += w) {
       std::memcpy(out, g.row(i) + e.send.j0, w);
     }
+    return sizeof status + e.count * sizeof(T);
   }
 
   /// Append to records_ one record per entry of `entries`, parsed from
-  /// `bytes` (a batched message, a per-pair message or the local staging).
+  /// `bytes` (a peer's batched message or the local staging).
   template <typename T>
   void index_records(std::span<const std::byte> bytes,
                      std::span<const BlockEdge> entries) {
@@ -462,16 +457,17 @@ class BlockExchangePlan2D {
   std::vector<int> owner_;
   int rank_ = 0;
   Options options_;
-  int tag_ = 0;
-  std::vector<BlockEdge> local_edges_;  ///< both endpoints on this rank
-  std::vector<PeerList> send_peers_;    ///< ascending peer rank
-  std::vector<PeerList> recv_peers_;    ///< ascending peer rank
+  std::uint32_t tag_ = 0;
+  int key_ = mpl::kPlanChannelBase;  ///< channel key of the tag block
+  PeerList local_;                    ///< both endpoints on this rank
+  std::vector<PeerList> send_peers_;  ///< ascending peer rank
+  std::vector<PeerList> recv_peers_;  ///< ascending peer rank
   std::size_t send_entry_total_ = 0;
   std::size_t recv_entry_total_ = 0;
   /// begin→end staging of the local edges' records (capacity kept).
   std::vector<std::byte> staged_local_;
-  /// end_exchange_all's per-round state, kept to reuse its capacity.
-  std::vector<mpl::Received<std::byte>> payloads_;
+  std::size_t staged_bytes_ = 0;
+  /// end_exchange_all's per-round record table, kept to reuse its capacity.
   std::vector<Record> records_;
   bool in_flight_ = false;
 };

@@ -3,27 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <thread>
 #include <utility>
 
 namespace ppa::mpl {
 
-namespace {
-inline void cpu_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-/// Spinning before sleeping only pays when another core can be producing
-/// concurrently; on a single-CPU host it just delays the sender's schedule.
-bool spin_worthwhile() {
-  static const bool enabled = std::thread::hardware_concurrency() > 1;
-  return enabled;
-}
-}  // namespace
 
 Mailbox::Lane::Lane() {
   prod.tail = new Block;
@@ -282,14 +265,13 @@ Envelope Mailbox::pop_from_lane(int source, int tag) {
   // again only when a new message has been published. In tight
   // request/reply exchanges the reply lands within the spin window, saving
   // the condvar sleep/wake (futex) round-trip entirely.
-  if (spin_worthwhile()) {
-    constexpr int kSpinIters = 1500;
-    for (int spin = 0; spin < kSpinIters; ++spin) {
+  if (detail::spin_worthwhile()) {
+    for (int spin = 0; spin < detail::kSpinIters; ++spin) {
       if (pub.pushes.load(std::memory_order_acquire) != seen) {
         if (search()) return env;
         if (aborted_.load(std::memory_order_acquire)) throw WorldAborted{};
       }
-      cpu_pause();
+      detail::cpu_pause();
     }
   }
   // Park handshake, receiver side (see push): announce the park, then look

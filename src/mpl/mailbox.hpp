@@ -61,6 +61,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "mpl/fault.hpp"
@@ -73,6 +74,28 @@ namespace ppa::mpl {
 struct WorldAborted : std::runtime_error {
   WorldAborted() : std::runtime_error("ppa::mpl world aborted (a rank failed)") {}
 };
+
+namespace detail {
+/// The spin half of every substrate wait (mailbox lanes and channels): a
+/// waiter spins this many pauses before it parks.
+inline constexpr int kSpinIters = 1500;
+
+inline void cpu_pause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Spinning before sleeping only pays when another core can be producing
+/// concurrently; on a single-CPU host it just delays the sender's schedule.
+/// Computed once: hardware_concurrency() reads sysfs.
+inline bool spin_worthwhile() {
+  static const bool enabled = std::thread::hardware_concurrency() > 1;
+  return enabled;
+}
+}  // namespace detail
 
 class Mailbox {
  public:

@@ -33,10 +33,25 @@
 // sequence number, which therefore agrees across ranks and cannot collide
 // with user tags (user tags must be non-negative; internal tags are negative).
 //
+// Transports: the scalar collectives — allreduce, reduce and exscan of one
+// Wire value — travel on the fixed-peer collective channel of each rank
+// pair (channel.hpp), one cache-line handoff per message. Their channel tag
+// is the collective's sequence number and kind, so a rank that issues a
+// different collective than its peer gets ChannelTagMismatch instead of a
+// wrong value. Block plans reach their own channels through channel_buffer
+// / channel_send / channel_recv / channel_release. Everything else — user
+// point-to-point, kAnySource, the vector collectives and alltoall — goes
+// through the mailbox. Each channel handoff counts in the trace, the fault
+// sites (kMailboxPush on send, kMailboxPop on receive) and the heartbeat
+// exactly as a mailbox message does.
+//
 // Thread-safety and blocking contract: a Process is the private handle of
-// one rank's thread — do not share it across threads. send* never block;
-// recv*, sendrecv, barrier and every collective block until satisfied (and
-// throw WorldAborted if the job is torn down). Ownership fast paths:
+// one rank's thread — do not share it across threads. send* never block. A
+// channel send waits for credit: a scalar collective when its peer still
+// holds kSlots unread values from this rank, a plan round when its peer has
+// not yet unpacked the round before the previous one. recv*, sendrecv,
+// barrier and every collective block until satisfied (and throw
+// WorldAborted if the job is torn down). Ownership fast paths:
 // send(..., std::move(vec)) adopts the buffer (caller relinquishes it);
 // recv_borrow returns a zero-copy view valid while the Received<T> lives;
 // recv_into deserializes into caller-owned storage.
@@ -295,7 +310,7 @@ class Process {
   T reduce(const T& local, BinaryOp op, int root = 0) {
     trace().count_op(rank_, Op::kReduce);
     collective_entry();
-    const int tag = next_internal_tag();
+    const std::uint32_t tag = channel_tag(Op::kReduce);
     return reduce_impl(local, op, root, tag);
   }
 
@@ -307,22 +322,21 @@ class Process {
     collective_entry();
     const int p = size();
     if ((p & (p - 1)) == 0) {
-      const int tag = next_internal_tag();
+      const std::uint32_t tag = channel_tag(Op::kAllreduce);
       T acc = local;
       for (int mask = 1; mask < p; mask <<= 1) {
         const int partner = rank_ ^ mask;
-        send_raw(partner, tag, pack_traced(std::span<const T>(&acc, 1)));
-        const T other = recv_internal_value<T>(partner, tag);
+        trace().count_copy(rank_, sizeof(T));
+        put_value(partner, tag, acc);
+        const T other = take_value<T>(partner, tag);
         acc = op(acc, other);
       }
       return acc;
     }
-    const int tag_reduce = next_internal_tag();
-    const int tag_bcast = next_internal_tag();
-    T total = reduce_impl(local, op, 0, tag_reduce);
-    std::vector<T> buf{total};
-    broadcast_impl(buf, 0, tag_bcast);
-    return buf.front();
+    const std::uint32_t tag_reduce = channel_tag(Op::kAllreduce);
+    const std::uint32_t tag_bcast = channel_tag(Op::kAllreduce);
+    return broadcast_value_impl(reduce_impl(local, op, 0, tag_reduce), 0,
+                                tag_bcast);
   }
 
   /// Element-wise allreduce over equal-length vectors. Large vectors use a
@@ -380,14 +394,57 @@ class Process {
   T exscan(const T& local, BinaryOp op, const T& init = T{}) {
     trace().count_op(rank_, Op::kScan);
     collective_entry();
-    const int tag = next_internal_tag();
+    const std::uint32_t tag = channel_tag(Op::kScan);
     T acc = init;
-    if (rank_ > 0) acc = recv_internal_value<T>(rank_ - 1, tag);
+    if (rank_ > 0) acc = take_value<T>(rank_ - 1, tag);
     if (rank_ + 1 < size()) {
       const T forward = op(acc, local);
-      send_raw(rank_ + 1, tag, pack_traced(std::span<const T>(&forward, 1)));
+      trace().count_copy(rank_, sizeof(T));
+      put_value(rank_ + 1, tag, forward);
     }
     return acc;
+  }
+
+  // --- fixed-peer channels (block plans) ------------------------------------
+  //
+  // One round of buffered traffic to a peer on channel `key`
+  // (kPlanChannelBase + the plan's tag block): pack into channel_buffer,
+  // publish with channel_send; the peer borrows it with channel_recv and
+  // hands it back with channel_release once unpacked. Counted like a
+  // zero-copy mailbox send (one message of its bytes, no copy events).
+
+  /// The buffer to pack the next message to `dest` on `key` into, at least
+  /// `capacity` bytes. Waits for credit.
+  std::byte* channel_buffer(int dest, int key, std::size_t capacity) {
+    return world_.channel(prank_, job_.physical(dest), key)
+        .buffer(capacity, job_.aborted_flag());
+  }
+  /// Publish the first `bytes` bytes of that buffer to `dest` with `tag`.
+  void channel_send(int dest, int key, std::uint32_t tag, std::size_t bytes) {
+    trace().count_message(rank_, bytes);
+    world_.bump_progress(prank_);
+    Channel& ch = world_.channel(prank_, job_.physical(dest), key);
+    if (fault_point(FaultSite::kMailboxPush, prank_) ==
+        FaultAction::kDropMessage) {
+      ch.drop();
+      return;
+    }
+    ch.send_buffer(tag, bytes);
+  }
+  /// Wait for the next message from `source` on `key` and borrow its bytes
+  /// until channel_release(source, key). Throws ChannelTagMismatch when it
+  /// does not carry `tag`.
+  std::span<const std::byte> channel_recv(int source, int key,
+                                          std::uint32_t tag) {
+    (void)fault_point(FaultSite::kMailboxPop, prank_);
+    const auto bytes = world_.channel(job_.physical(source), prank_, key)
+                           .recv_buffer(tag, job_.aborted_flag());
+    world_.bump_progress(prank_);
+    return bytes;
+  }
+  /// Hand the oldest borrowed message from `source` on `key` back.
+  void channel_release(int source, int key) {
+    world_.channel(job_.physical(source), prank_, key).release();
   }
 
  private:
@@ -427,11 +484,46 @@ class Process {
   std::vector<T> recv_internal(int source, int tag) {
     return unpack_traced<T>(recv_envelope(source, tag).payload);
   }
+
+  /// Send one value to `dest` on the collective channel: one traced
+  /// message (the caller counts the pack copy, as a forwarding broadcast
+  /// has none), the sender's heartbeat, and the push fault site.
   template <Wire T>
-  T recv_internal_value(int source, int tag) {
-    auto v = recv_internal<T>(source, tag);
-    assert(v.size() == 1);
-    return v.front();
+  void put_value(int dest, std::uint32_t tag, const T& value) {
+    static_assert(sizeof(T) <= Channel::kInlineBytes,
+                  "scalar collectives carry at most Channel::kInlineBytes; "
+                  "reduce larger values element-wise with allreduce_vec");
+    trace().count_message(rank_, sizeof(T));
+    world_.bump_progress(prank_);
+    Channel& ch =
+        world_.channel(prank_, job_.physical(dest), kCollectiveChannel);
+    if (fault_point(FaultSite::kMailboxPush, prank_) ==
+        FaultAction::kDropMessage) {
+      ch.drop();
+      return;
+    }
+    ch.send_value(tag, value, job_.aborted_flag());
+  }
+  /// Receive one value from `source` on the collective channel (one
+  /// traced unpack copy).
+  template <Wire T>
+  T take_value(int source, std::uint32_t tag) {
+    static_assert(sizeof(T) <= Channel::kInlineBytes,
+                  "scalar collectives carry at most Channel::kInlineBytes; "
+                  "reduce larger values element-wise with allreduce_vec");
+    (void)fault_point(FaultSite::kMailboxPop, prank_);
+    const T value =
+        world_.channel(job_.physical(source), prank_, kCollectiveChannel)
+            .recv_value<T>(tag, job_.aborted_flag());
+    world_.bump_progress(prank_);
+    trace().count_copy(rank_, sizeof(T));
+    return value;
+  }
+  /// Channel tag of the next scalar collective: its sequence number and
+  /// its kind.
+  std::uint32_t channel_tag(Op kind) noexcept {
+    const auto seq = static_cast<std::uint32_t>(-1 - next_internal_tag());
+    return (seq << 4) | static_cast<std::uint32_t>(kind);
   }
   /// Pop from this rank's (physical) mailbox with logical<->physical
   /// translation: a non-wildcard `source` selects the lane of its physical
@@ -499,23 +591,48 @@ class Process {
   }
 
   template <Wire T, typename BinaryOp>
-  T reduce_impl(const T& local, BinaryOp op, int root, int tag) {
+  T reduce_impl(const T& local, BinaryOp op, int root, std::uint32_t tag) {
     const int p = size();
     const int vrank = (rank_ - root + p) % p;
     T acc = local;
     for (int mask = 1; mask < p; mask <<= 1) {
       if (vrank & mask) {
         const int dest = (vrank - mask + root) % p;
-        send_raw(dest, tag, pack_traced(std::span<const T>(&acc, 1)));
+        trace().count_copy(rank_, sizeof(T));
+        put_value(dest, tag, acc);
         return acc;  // contribution handed off; value only meaningful at root
       }
       if (vrank + mask < p) {
         const int src = (vrank + mask + root) % p;
-        const T other = recv_internal_value<T>(src, tag);
+        const T other = take_value<T>(src, tag);
         acc = op(acc, other);
       }
     }
     return acc;
+  }
+
+  /// broadcast_impl's binomial tree for one value on the collective
+  /// channels: the root counts the one pack copy, every other rank one
+  /// unpack copy, forwarding none.
+  template <Wire T>
+  T broadcast_value_impl(T value, int root, std::uint32_t tag) {
+    const int p = size();
+    const int vrank = (rank_ - root + p) % p;
+    int mask = 1;
+    if (vrank == 0) {
+      trace().count_copy(rank_, sizeof(T));
+      while (mask < p) mask <<= 1;
+    } else {
+      while (mask < p) {
+        if (vrank & mask) break;
+        mask <<= 1;
+      }
+      value = take_value<T>((vrank - mask + root) % p, tag);
+    }
+    for (mask >>= 1; mask > 0; mask >>= 1) {
+      if (vrank + mask < p) put_value((vrank + mask + root) % p, tag, value);
+    }
+    return value;
   }
 
   /// Element-wise binomial-tree reduction of equal-length vectors to `root`.

@@ -1,5 +1,6 @@
 #include "mpl/world.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 namespace ppa::mpl {
@@ -11,6 +12,9 @@ World::World(int size, std::shared_ptr<TagSpace> tags)
       tags_(std::move(tags)),
       progress_(size > 0 ? static_cast<std::size_t>(size) : 1) {
   if (size <= 0) throw std::invalid_argument("World size must be positive");
+  const auto n = static_cast<std::size_t>(size);
+  pairs_ = std::make_unique<std::atomic<PairChannels*>[]>(n * n);
+  inbound_.resize(n);
   if (!tags_) throw std::invalid_argument("World tag space must be non-null");
   mailboxes_.reserve(static_cast<std::size_t>(size));
   for (int r = 0; r < size; ++r) {
@@ -20,6 +24,40 @@ World::World(int size, std::shared_ptr<TagSpace> tags)
     // (and identifies the owner at its fault-injection sites).
     mailboxes_.back()->bind_owner(r, &progress_[static_cast<std::size_t>(r)].value);
   }
+}
+
+Channel& World::create_channel(int src, int dst, int key) {
+  assert(src >= 0 && src < size_ && dst >= 0 && dst < size_ && src != dst);
+  assert(key >= 0 && key < kChannelKeys);
+  const std::scoped_lock lock(channel_mutex_);
+  auto& slot = pairs_[static_cast<std::size_t>(src) *
+                          static_cast<std::size_t>(size_) +
+                      static_cast<std::size_t>(dst)];
+  PairChannels* pair = slot.load(std::memory_order_relaxed);
+  if (pair == nullptr) {
+    pair_owner_.push_back(std::make_unique<PairChannels>());
+    pair = pair_owner_.back().get();
+    slot.store(pair, std::memory_order_release);
+  }
+  auto& entry = pair->keys[static_cast<std::size_t>(key)];
+  Channel* ch = entry.load(std::memory_order_relaxed);
+  if (ch == nullptr) {
+    auto& owned = inbound_[static_cast<std::size_t>(dst)];
+    owned.push_back(std::make_unique<Channel>());
+    ch = owned.back().get();
+    entry.store(ch, std::memory_order_release);
+  }
+  return *ch;
+}
+
+void World::reset_channels_into(int rank) {
+  const std::scoped_lock lock(channel_mutex_);
+  for (const auto& ch : inbound_[static_cast<std::size_t>(rank)]) ch->reset();
+}
+
+void World::wake_channels_into(int rank) {
+  const std::scoped_lock lock(channel_mutex_);
+  for (const auto& ch : inbound_[static_cast<std::size_t>(rank)]) ch->wake();
 }
 
 JobContext::JobContext(World& world, std::vector<int> ranks)
@@ -44,15 +82,27 @@ JobContext::JobContext(World& world, std::vector<int> ranks)
 }
 
 void JobContext::begin() {
-  for (const int r : ranks_) world_.mailbox(r).reset();
+  for (const int r : ranks_) {
+    world_.mailbox(r).reset();
+    // A channel into r has its producer in the same job as r, so no
+    // sibling job is inside it.
+    world_.reset_channels_into(r);
+  }
   barrier_.reset(nprocs());
   trace_.reset();
+  aborted_.store(false, std::memory_order_relaxed);
   cancel_requested_.store(false, std::memory_order_relaxed);
 }
 
 void JobContext::abort() {
+  // Raise the flag before waking: a channel created after the wake pass
+  // below is first waited on after this store, so its waiter sees it.
+  aborted_.store(true, std::memory_order_seq_cst);
   barrier_.abort();
-  for (const int r : ranks_) world_.mailbox(r).abort();
+  for (const int r : ranks_) {
+    world_.mailbox(r).abort();
+    world_.wake_channels_into(r);
+  }
 }
 
 std::uint64_t JobContext::progress_total() const noexcept {

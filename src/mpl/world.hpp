@@ -6,9 +6,12 @@
 // over some of those processes.
 //
 // World: what outlives a job — one mailbox per rank (their lane tables are
-// the expensive part to build), the recyclable tag space and the per-rank
-// progress counters. A persistent Engine keeps one World for its lifetime;
-// spmd_run_cold builds a fresh one per run.
+// the expensive part to build), the fixed-peer channels (channel.hpp), the
+// recyclable tag space and the per-rank progress counters. A persistent
+// Engine keeps one World for its lifetime; spmd_run_cold builds a fresh one
+// per run. Channels are created on first use, per (source, destination,
+// key) — only for the pairs jobs actually use — and found afterwards with
+// two acquire loads, no lock.
 //
 // JobContext: everything scoped to one computation — the barrier, the
 // communication trace, the cancel flag, and the mapping of the job's
@@ -20,16 +23,19 @@
 //
 // Thread-safety and ownership: a World must outlive every JobContext and
 // Process bound to it (spmd_run_cold and the engine guarantee this by
-// joining/rendezvousing before destruction). mailbox(), bump_progress() and
-// progress() are safe from any rank thread.
+// joining/rendezvousing before destruction). mailbox(), channel(),
+// bump_progress() and progress() are safe from any rank thread.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "mpl/barrier.hpp"
+#include "mpl/channel.hpp"
 #include "mpl/mailbox.hpp"
 #include "mpl/tagspace.hpp"
 #include "mpl/trace.hpp"
@@ -50,6 +56,27 @@ class World {
   [[nodiscard]] Mailbox& mailbox(int rank) {
     return *mailboxes_[static_cast<std::size_t>(rank)];
   }
+
+  /// The channel carrying `key` traffic (kCollectiveChannel, or
+  /// kPlanChannelBase + a plan's tag block) from physical rank `src` to
+  /// physical rank `dst`; created on first use, stable for the World's
+  /// lifetime.
+  [[nodiscard]] Channel& channel(int src, int dst, int key) {
+    const PairChannels* pair =
+        pairs_[static_cast<std::size_t>(src) * static_cast<std::size_t>(size_) +
+               static_cast<std::size_t>(dst)]
+            .load(std::memory_order_acquire);
+    if (pair != nullptr) [[likely]] {
+      Channel* ch = pair->keys[static_cast<std::size_t>(key)].load(
+          std::memory_order_acquire);
+      if (ch != nullptr) [[likely]] return *ch;
+    }
+    return create_channel(src, dst, key);
+  }
+  /// Drop what is in flight on every channel into `rank` (JobContext::begin).
+  void reset_channels_into(int rank);
+  /// Wake every waiter parked on a channel into `rank` (JobContext::abort).
+  void wake_channels_into(int rank);
 
   /// This World's recyclable tag allocator (see tagspace.hpp). Every run
   /// that needs a private tag range should hold a TagBlock from here so the
@@ -82,18 +109,34 @@ class World {
     std::atomic<std::uint64_t> value{0};
   };
 
+  /// The channels of one ordered rank pair, one slot per key.
+  struct PairChannels {
+    std::array<std::atomic<Channel*>, kChannelKeys> keys{};
+  };
+
+  Channel& create_channel(int src, int dst, int key);
+
   int size_;
   std::shared_ptr<TagSpace> tags_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<PaddedCounter> progress_;  ///< one per rank; see bump_progress
+  /// size_ x size_ table indexed src * size_ + dst; null until the pair is
+  /// first used. Written under channel_mutex_, read lock-free.
+  std::unique_ptr<std::atomic<PairChannels*>[]> pairs_;
+  /// Owners: the pair tables, and every channel by destination rank (the
+  /// lists JobContext::begin and abort walk). Guarded by channel_mutex_.
+  std::mutex channel_mutex_;
+  std::vector<std::unique_ptr<PairChannels>> pair_owner_;
+  std::vector<std::vector<std::unique_ptr<Channel>>> inbound_;
 };
 
 /// Per-job state for one computation over a set of a World's ranks (all of
 /// them for a cold run, a subset for a space-shared job). Owns the job's
 /// barrier (sized to the job width), its communication trace (indexed by
-/// the job's logical ranks), and its cancel flag; abort() tears down only
-/// this job — its barrier and its ranks' mailboxes — leaving sibling jobs
-/// on the other ranks untouched.
+/// the job's logical ranks), its abort flag (every channel wait of the
+/// job's ranks watches it) and its cancel flag; abort() tears down only
+/// this job — its barrier, its ranks' mailboxes and the channels into its
+/// ranks — leaving sibling jobs on the other ranks untouched.
 ///
 /// Thread-safety: begin() and the constructor must run while no thread is
 /// inside a primitive of any of this context's ranks (the engine admits a
@@ -127,15 +170,21 @@ class JobContext {
   [[nodiscard]] AbortableBarrier& barrier() noexcept { return barrier_; }
   [[nodiscard]] CommTrace& trace() noexcept { return trace_; }
 
-  /// Open this job's epoch: empty and re-arm the rank set's mailboxes,
-  /// zero the trace, clear cancel, re-arm the barrier. Only this
-  /// context's ranks are touched — concurrent sibling jobs are unaffected.
+  /// Open this job's epoch: empty and re-arm the rank set's mailboxes and
+  /// the channels into its ranks, zero the trace, clear abort and cancel,
+  /// re-arm the barrier. Only this context's ranks are touched —
+  /// concurrent sibling jobs are unaffected.
   void begin();
 
   /// Tear down *this job only*: release every rank of the set blocked in a
-  /// recv/barrier with WorldAborted. Idempotent, never blocks; sibling
-  /// jobs on disjoint ranks keep running.
+  /// recv/barrier/channel wait with WorldAborted. Idempotent, never blocks
+  /// on the job's ranks; sibling jobs on disjoint ranks keep running.
   void abort();
+
+  /// Raised by abort(); every channel wait of this job's ranks watches it.
+  [[nodiscard]] const std::atomic<bool>& aborted_flag() const noexcept {
+    return aborted_;
+  }
 
   /// Cooperative cancellation for this job (Process::cancelled()).
   void request_cancel() noexcept {
@@ -156,6 +205,7 @@ class JobContext {
   std::vector<int> inverse_;  ///< physical -> logical, -1 outside the set
   AbortableBarrier barrier_;
   CommTrace trace_;  ///< indexed by logical rank
+  std::atomic<bool> aborted_{false};
   std::atomic<bool> cancel_requested_{false};
 };
 

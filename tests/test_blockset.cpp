@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "meshspectral/meshspectral.hpp"
@@ -49,12 +52,13 @@ BlockLayout2D make_layout(std::size_t nx, std::size_t ny, int nbx, int nby,
   return layout;
 }
 
-/// Check every ghost cell of one block after an exchange of tagval data:
-/// in-domain ghosts (wrapping periodic axes) must hold the owning cell's
-/// tag; out-of-domain ghosts — and corner ghosts when `corners` is off —
-/// must still hold the 0.0 the allocation zero-filled.
+/// Check every ghost cell of one block after an exchange of tagval data
+/// (times `scale`): in-domain ghosts (wrapping periodic axes) must hold the
+/// owning cell's tag; out-of-domain ghosts — and corner ghosts when
+/// `corners` is off — must still hold the 0.0 the allocation zero-filled.
 void expect_block_ghosts(const mesh::MeshBlock<double>& b,
-                         const BlockLayout2D& layout, bool corners) {
+                         const BlockLayout2D& layout, bool corners,
+                         double scale = 1.0) {
   const auto& g = b.grid();
   const auto nx = static_cast<std::ptrdiff_t>(g.nx());
   const auto ny = static_cast<std::ptrdiff_t>(g.ny());
@@ -83,7 +87,7 @@ void expect_block_ghosts(const mesh::MeshBlock<double>& b,
       const std::size_t wj = layout.periodic.y
                                  ? wrap(gj, layout.global_ny)
                                  : static_cast<std::size_t>(gj);
-      EXPECT_EQ(g(i, j), tagval(wi, wj))
+      EXPECT_EQ(g(i, j), scale * tagval(wi, wj))
           << "block " << b.id() << " ghost (" << i << "," << j << ")";
     }
   }
@@ -91,17 +95,18 @@ void expect_block_ghosts(const mesh::MeshBlock<double>& b,
 
 /// Run `steps` of a periodic 5-point Jacobi sweep on the given block
 /// distribution and gather the result on root (a bitwise fingerprint of
-/// the whole schedule: halo routing, batching, and update order).
+/// the whole schedule: halo routing, batching, and update order). The
+/// run's trace goes to `trace` when given.
 Array2D<double> jacobi_fingerprint(const BlockLayout2D& layout,
                                    const std::vector<int>& owner, int nprocs,
-                                   bool batched, int steps) {
+                                   int steps,
+                                   mpl::TraceSnapshot* trace = nullptr) {
   Array2D<double> out;
-  mpl::spmd_run(nprocs, [&](mpl::Process& p) {
+  const auto snapshot = mpl::spmd_run(nprocs, [&](mpl::Process& p) {
     BlockSet<double> u(layout, owner, p.rank());
     BlockSet<double> v(layout, owner, p.rank());
     u.init_from_global(tagval);
-    BlockExchangePlan2D plan(
-        u, BlockExchangeOptions{false, 0, batched, false, 0.0});
+    BlockExchangePlan2D plan(u);
     for (int s = 0; s < steps; ++s) {
       plan.exchange_all(p, u);
       for (std::size_t b = 0; b < u.size(); ++b) {
@@ -117,6 +122,7 @@ Array2D<double> jacobi_fingerprint(const BlockLayout2D& layout,
     auto dense = mesh::gather_blocks(p, u, 0);
     if (p.rank() == 0) out = std::move(dense);
   });
+  if (trace != nullptr) *trace = snapshot;
   return out;
 }
 
@@ -207,7 +213,7 @@ TEST(BlockHalo, GhostsCorrectFullyPeriodicWithCorners) {
     BlockSet<double> u(layout, owner, p.rank());
     u.init_from_global(tagval);
     BlockExchangePlan2D plan(
-        u, BlockExchangeOptions{/*corners=*/true, 0, true, false, 0.0});
+        u, BlockExchangeOptions{/*corners=*/true, 0, false, 0.0});
     plan.exchange_all(p, u);
     for (const auto& b : u) expect_block_ghosts(b, layout, /*corners=*/true);
   });
@@ -219,24 +225,82 @@ TEST(BlockHalo, SingleBlockSelfWrapsPeriodicAxes) {
     BlockSet<double> u(layout, {0}, 0);
     u.init_from_global(tagval);
     BlockExchangePlan2D plan(
-        u, BlockExchangeOptions{/*corners=*/true, 0, true, false, 0.0});
+        u, BlockExchangeOptions{/*corners=*/true, 0, false, 0.0});
     EXPECT_EQ(plan.off_rank_message_count(), 0u);
     plan.exchange_all(p, u);
     for (const auto& b : u) expect_block_ghosts(b, layout, /*corners=*/true);
   });
 }
 
-TEST(BlockHalo, UnbatchedModeFillsTheSameGhosts) {
-  const auto layout = make_layout(10, 9, 4, 3, {true, false});
-  const auto owner = mesh::distribute_blocks_contiguous(12, 4);
-  mpl::spmd_run(4, [&](mpl::Process& p) {
+// ---------------------------------------------------------------------------
+// Round ordering. Each plan rides its own channels (one per tag block, peer
+// and direction), and the scalar collectives ride theirs, so rounds and
+// collectives may interleave in any SPMD-consistent order.
+
+TEST(BlockOrdering, TwoPlansOnDistinctTagBlocksEndInReverseOrder) {
+  const auto layout = make_layout(12, 10, 4, 3, {true, false});
+  for (const int np : {2, 3, 4}) {
+    const auto owner = mesh::distribute_blocks_round_robin(12, np);
+    mpl::spmd_run(np, [&](mpl::Process& p) {
+      BlockSet<double> u(layout, owner, p.rank());
+      BlockSet<double> w(layout, owner, p.rank());
+      BlockExchangePlan2D a(u, BlockExchangeOptions{false, /*tag_block=*/0});
+      BlockExchangePlan2D b(w, BlockExchangeOptions{true, /*tag_block=*/1});
+      for (int round = 1; round <= 5; ++round) {
+        // Fresh interiors every round, so a ghost from an older round (or
+        // from the other plan) would show.
+        u.init_from_global([&](std::size_t i, std::size_t j) {
+          return round * tagval(i, j);
+        });
+        w.init_from_global([&](std::size_t i, std::size_t j) {
+          return -round * tagval(i, j);
+        });
+        a.begin_exchange_all(p, u);
+        b.begin_exchange_all(p, w);
+        b.end_exchange_all(p, w);
+        a.end_exchange_all(p, u);
+        for (const auto& blk : u) {
+          expect_block_ghosts(blk, layout, false, round);
+        }
+        for (const auto& blk : w) {
+          expect_block_ghosts(blk, layout, true, -round);
+        }
+      }
+    });
+  }
+}
+
+TEST(BlockOrdering, AllreduceBetweenBeginAndEndAtThreeRanks) {
+  // euler2d's step order: begin the halo round, allreduce the dt (at np=3
+  // a reduce plus a broadcast on the collective channels), end the round.
+  constexpr int kRounds = 40;
+  const auto layout = make_layout(15, 9, 3, 1, {true, false});
+  const auto owner = mesh::distribute_blocks_contiguous(3, 3);
+  std::vector<double> maxima(3, 0.0);
+  const auto trace = mpl::spmd_run(3, [&](mpl::Process& p) {
     BlockSet<double> u(layout, owner, p.rank());
-    u.init_from_global(tagval);
-    BlockExchangePlan2D plan(
-        u, BlockExchangeOptions{false, 0, /*batched=*/false, false, 0.0});
-    plan.exchange_all(p, u);
-    for (const auto& b : u) expect_block_ghosts(b, layout, /*corners=*/false);
+    BlockExchangePlan2D plan(u);
+    double last = 0.0;
+    for (int round = 1; round <= kRounds; ++round) {
+      u.init_from_global([&](std::size_t i, std::size_t j) {
+        return round * tagval(i, j);
+      });
+      plan.begin_exchange_all(p, u);
+      last = p.allreduce(static_cast<double>(round * 10 + p.rank()),
+                         mpl::MaxOp{});
+      EXPECT_EQ(last, static_cast<double>(round * 10 + 2));
+      plan.end_exchange_all(p, u);
+      for (const auto& blk : u) expect_block_ghosts(blk, layout, false, round);
+    }
+    maxima[static_cast<std::size_t>(p.rank())] = last;
   });
+  EXPECT_EQ(maxima, std::vector<double>(3, kRounds * 10 + 2));
+  // Per round: each rank sends one halo message to each of its two
+  // x-neighbors (periodic ring of 3), plus the allreduce's 2 reduce and
+  // 2 broadcast messages.
+  EXPECT_EQ(trace.messages, static_cast<std::uint64_t>(kRounds) * (6 + 4));
+  EXPECT_EQ(trace.op(mpl::Op::kAllreduce),
+            static_cast<std::uint64_t>(kRounds) * 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -277,25 +341,23 @@ TEST(BlockPlan, BatchedRoundIsOneMessagePerPeerRank) {
 TEST(BlockPlan, BatchingCoalescesWithoutChangingPayload) {
   const auto layout = make_layout(16, 16, 4, 4, {true, true});
   const auto owner = mesh::distribute_blocks_round_robin(16, 4);
-  std::uint64_t msgs[2], bytes[2];
-  for (const bool batched : {true, false}) {
-    mpl::TraceSnapshot trace;
-    mpl::spmd_collect<int>(
-        4,
-        [&](mpl::Process& p) {
-          BlockSet<double> u(layout, owner, p.rank());
-          u.init_from_global(tagval);
-          BlockExchangePlan2D plan(
-              u, BlockExchangeOptions{false, 0, batched, false, 0.0});
-          plan.exchange_all(p, u);
-          return 0;
-        },
-        &trace);
-    msgs[batched ? 0 : 1] = trace.messages;
-    bytes[batched ? 0 : 1] = trace.bytes;
-  }
-  EXPECT_LT(msgs[0], msgs[1]);
-  EXPECT_EQ(bytes[0], bytes[1]);  // same strips + status words, coalesced
+  mpl::TraceSnapshot trace;
+  mpl::spmd_collect<int>(
+      4,
+      [&](mpl::Process& p) {
+        BlockSet<double> u(layout, owner, p.rank());
+        u.init_from_global(tagval);
+        BlockExchangePlan2D plan(u);
+        plan.exchange_all(p, u);
+        return 0;
+      },
+      &trace);
+  // Round-robin 4x4 blocks on 4 ranks: 32 off-rank strips of 4 cells, each
+  // with its 8-byte status word (32 x 40 B), coalesced into one message per
+  // peer rank. The per-pair mode this replaced sent the same bytes as 32
+  // messages.
+  EXPECT_EQ(trace.messages, 8u);
+  EXPECT_EQ(trace.bytes, 1280u);
 }
 
 TEST(BlockPlan, OneBlockPerRankMatchesExchangePlan2D) {
@@ -363,8 +425,15 @@ TEST(BlockDistributionBattery, AllMapsBitwiseEqualToSingleRankReference) {
   const auto layout = make_layout(22, 18, 4, 4, {true, true});
   constexpr int kSteps = 5;
   const auto reference = jacobi_fingerprint(
-      layout, mesh::distribute_blocks_contiguous(16, 1), 1, true, kSteps);
+      layout, mesh::distribute_blocks_contiguous(16, 1), 1, kSteps);
   ASSERT_EQ(reference.rows(), 22u);
+  // Traced messages and bytes of each run (halo rounds + the gather),
+  // per np, for the contiguous, round-robin and lopsided maps.
+  const std::map<int, std::array<std::pair<std::uint64_t, std::uint64_t>, 3>>
+      counts = {{1, {{{0, 0}, {0, 0}, {0, 0}}}},
+                {2, {{{12, 5344}, {12, 10288}, {12, 2160}}}},
+                {4, {{{46, 9920}, {46, 11184}, {16, 2160}}}},
+                {8, {{{134, 14560}, {134, 18760}, {24, 2160}}}}};
 
   for (const int np : {1, 2, 4, 8}) {
     std::vector<std::vector<int>> maps;
@@ -375,16 +444,18 @@ TEST(BlockDistributionBattery, AllMapsBitwiseEqualToSingleRankReference) {
     std::vector<int> lopsided(16, 0);
     lopsided[7] = np - 1;
     maps.push_back(lopsided);
-    for (const auto& owner : maps) {
-      for (const bool batched : {true, false}) {
-        const auto got =
-            jacobi_fingerprint(layout, owner, np, batched, kSteps);
-        ASSERT_EQ(got.rows(), reference.rows());
-        EXPECT_EQ(std::vector<double>(got.flat().begin(), got.flat().end()),
-                  std::vector<double>(reference.flat().begin(),
-                                      reference.flat().end()))
-            << "np=" << np << " batched=" << batched;
-      }
+    for (std::size_t m = 0; m < maps.size(); ++m) {
+      mpl::TraceSnapshot trace;
+      const auto got = jacobi_fingerprint(layout, maps[m], np, kSteps, &trace);
+      ASSERT_EQ(got.rows(), reference.rows());
+      EXPECT_EQ(std::vector<double>(got.flat().begin(), got.flat().end()),
+                std::vector<double>(reference.flat().begin(),
+                                    reference.flat().end()))
+          << "np=" << np << " map=" << m;
+      EXPECT_EQ(trace.messages, counts.at(np)[m].first)
+          << "np=" << np << " map=" << m;
+      EXPECT_EQ(trace.bytes, counts.at(np)[m].second)
+          << "np=" << np << " map=" << m;
     }
   }
 }
@@ -394,10 +465,10 @@ TEST(BlockDistributionBattery, NonDivisibleBlockCounts) {
   // divides anything.
   const auto layout = make_layout(23, 17, 3, 3, {true, false});
   const auto reference = jacobi_fingerprint(
-      layout, mesh::distribute_blocks_contiguous(9, 1), 1, true, 4);
+      layout, mesh::distribute_blocks_contiguous(9, 1), 1, 4);
   for (const int np : {2, 4}) {
     const auto got = jacobi_fingerprint(
-        layout, mesh::distribute_blocks_round_robin(9, np), np, true, 4);
+        layout, mesh::distribute_blocks_round_robin(9, np), np, 4);
     EXPECT_EQ(std::vector<double>(got.flat().begin(), got.flat().end()),
               std::vector<double>(reference.flat().begin(),
                                   reference.flat().end()))
@@ -424,7 +495,7 @@ TEST(BlockSparse, HalosFromUnallocatedNeighborsAreZeroFilled) {
     g(-1, 0) = 99.0;
     g(static_cast<std::ptrdiff_t>(g.nx()), 1) = 99.0;
     BlockExchangePlan2D plan(
-        u, BlockExchangeOptions{false, 0, true, /*sparse=*/true, 0.0});
+        u, BlockExchangeOptions{false, 0, /*sparse=*/true, 0.0});
     plan.exchange_all(p, u);
     EXPECT_FALSE(u.block(0).allocated());  // zero data does not wake anyone
     EXPECT_FALSE(u.block(2).allocated());
@@ -450,7 +521,7 @@ TEST(BlockSparse, NonTrivialStripsWakeTheDownwindBlock) {
       for (std::ptrdiff_t j = 0; j < 3; ++j) b.grid()(2, j) = 1.0;
     }
     BlockExchangePlan2D plan(
-        u, BlockExchangeOptions{false, 0, true, /*sparse=*/true, 0.0});
+        u, BlockExchangeOptions{false, 0, /*sparse=*/true, 0.0});
 
     const auto allocated = [&](int id) {
       const int li = u.local_index(id);
@@ -489,7 +560,7 @@ TEST(BlockSparse, AllocThresholdIgnoresSubThresholdStrips) {
     u.block(0).allocate();
     u.block(0).grid()(2, 1) = 1e-9;  // boundary column, below threshold
     BlockExchangePlan2D plan(
-        u, BlockExchangeOptions{false, 0, true, /*sparse=*/true,
+        u, BlockExchangeOptions{false, 0, /*sparse=*/true,
                                 /*alloc_threshold=*/1e-6});
     plan.exchange_all(p, u);
     EXPECT_FALSE(u.block(1).allocated());

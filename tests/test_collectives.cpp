@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "mpl/channel.hpp"
+#include "mpl/engine.hpp"
 #include "mpl/process.hpp"
 #include "mpl/spmd.hpp"
 
@@ -400,5 +402,86 @@ INSTANTIATE_TEST_SUITE_P(WorldSizes, CollectiveAbortP,
                          [](const testing::TestParamInfo<int>& info) {
                            return "P" + std::to_string(info.param);
                          });
+
+// --- fixed-peer channels ---------------------------------------------------
+// The scalar collectives ride one channel per ordered rank pair
+// (channel.hpp), which checks the tag every receive expects.
+
+TEST(ChannelCollectives, DifferentCollectiveThanPeerIsATypedTagMismatch) {
+  Engine engine(2);
+  // Rank 1's exscan receives rank 0's allreduce value: another kind.
+  EXPECT_THROW(engine.run(2,
+                          [](Process& proc) {
+                            if (proc.rank() == 0) {
+                              (void)proc.allreduce(1, SumOp{});
+                            } else {
+                              (void)proc.exscan(1, SumOp{});
+                            }
+                          }),
+               ChannelTagMismatch);
+  // Same kind, another value type: the size check catches it.
+  EXPECT_THROW(engine.run(2,
+                          [](Process& proc) {
+                            if (proc.rank() == 0) {
+                              (void)proc.allreduce(1, SumOp{});
+                            } else {
+                              (void)proc.allreduce(1.0, SumOp{});
+                            }
+                          }),
+               ChannelTagMismatch);
+  // The engine and its channels come back clean.
+  std::vector<int> got(2, 0);
+  engine.run(2, [&](Process& proc) {
+    got[static_cast<std::size_t>(proc.rank())] =
+        proc.allreduce(proc.rank() + 1, SumOp{});
+  });
+  EXPECT_EQ(got, (std::vector<int>{3, 3}));
+}
+
+TEST(ChannelCollectives, RunAheadSendersWaitForCreditAndStayInOrder) {
+  // Non-root ranks of a reduce hand off and return at once, so they run
+  // many collectives ahead of a slow root; the channel ring holds only
+  // Channel::kSlots values, so they wait for credit — and every value
+  // still reaches its own reduce.
+  constexpr int kRounds = 64;
+  for (const int p : {2, 3, 4}) {
+    const auto sums = spmd_collect<std::vector<long>>(p, [](Process& proc) {
+      if (proc.rank() == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      std::vector<long> out;
+      for (int k = 0; k < kRounds; ++k) {
+        out.push_back(proc.reduce(static_cast<long>(k * 100 + proc.rank()),
+                                  SumOp{}, 0));
+      }
+      return out;
+    });
+    for (int k = 0; k < kRounds; ++k) {
+      const long expected = static_cast<long>(p) * k * 100 + p * (p - 1) / 2;
+      EXPECT_EQ(sums[0][static_cast<std::size_t>(k)], expected)
+          << "p=" << p << " round " << k;
+    }
+  }
+}
+
+TEST(ChannelCollectives, ScalarCollectiveCountsMatchTheMailboxForm) {
+  // One allreduce of a double: recursive doubling at p = 4 (2 rounds),
+  // reduce + broadcast at p = 3. Message, byte and copy counts are those
+  // of the mailbox form each replaced.
+  struct Expect {
+    int p;
+    std::uint64_t messages, copies;
+  };
+  for (const auto e : {Expect{4, 8, 16}, Expect{3, 4, 7}}) {
+    TraceSnapshot trace;
+    spmd_collect<double>(
+        e.p, [](Process& proc) { return proc.allreduce(1.5, SumOp{}); },
+        &trace);
+    EXPECT_EQ(trace.messages, e.messages) << "p=" << e.p;
+    EXPECT_EQ(trace.bytes, e.messages * sizeof(double)) << "p=" << e.p;
+    EXPECT_EQ(trace.copies, e.copies) << "p=" << e.p;
+    EXPECT_EQ(trace.copied_bytes, e.copies * sizeof(double)) << "p=" << e.p;
+  }
+}
 
 }  // namespace

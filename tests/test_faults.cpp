@@ -8,9 +8,12 @@
 //   - the soak: hundreds of mixed jobs (poisson, pipeline, bnb, collectives)
 //     under randomized seeded fault plans, asserting the engine returns to a
 //     clean parked state after every injected failure and that the next
-//     fault-free job is bitwise-identical to the no-fault reference.
+//     fault-free job is bitwise-identical to the no-fault reference;
+//   - fixed-peer channels (mpl/channel.hpp): drops, throws and aborts on
+//     the scalar-collective and block-plan channels, and a channel soak of
+//     poisson, euler2d and collective jobs under push/pop fault rules.
 //
-// PPA_FAULT_SOAK_JOBS overrides the soak's job count (default 200; CI's
+// PPA_FAULT_SOAK_JOBS overrides both soaks' job counts (default 200; CI's
 // TSan leg runs a reduced count).
 #include <gtest/gtest.h>
 
@@ -24,9 +27,12 @@
 #include <thread>
 #include <vector>
 
+#include "apps/cfd/euler2d.hpp"
 #include "apps/poisson/poisson.hpp"
 #include "core/branch_and_bound.hpp"
+#include "meshspectral/meshspectral.hpp"
 #include "core/pipeline.hpp"
+#include "mpl/channel.hpp"
 #include "mpl/engine.hpp"
 #include "mpl/fault.hpp"
 #include "mpl/job.hpp"
@@ -525,6 +531,317 @@ TEST(FaultSoak, MixedJobsUnderRandomizedPlansLeaveEngineClean) {
   EXPECT_GT(failures_seen, 0) << "the soak never injected a visible fault — "
                                  "plans are too weak to exercise recovery";
   EXPECT_EQ(engine->world().tag_space().outstanding(), 0);
+}
+
+// -------------------------------------------------------------- channels --
+
+TEST(ChannelFaults, DroppedCollectiveValueStallsUntilWatchdog) {
+  Engine engine(2);
+  // Rank 0's first channel send vanishes: rank 1 waits on its collective
+  // channel with nobody failing — only the watchdog can see it.
+  FaultPlan plan(21, {FaultRule{.site = FaultSite::kMailboxPush,
+                               .rank = 0,
+                               .at_op = 0,
+                               .kind = FaultKind::kDrop}});
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    FaultInjectionScope scope(plan);
+    EXPECT_THROW(engine.run(
+                     2,
+                     [](Process& p) { (void)p.allreduce(p.rank() + 1, SumOp{}); },
+                     JobOptions{.watchdog_grace = 150ms}),
+                 JobStalled);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
+  EXPECT_EQ(plan.fired(0), 1u);
+  std::vector<int> got(2, 0);
+  engine.run(2, [&](Process& p) {
+    got[static_cast<std::size_t>(p.rank())] = p.allreduce(p.rank() + 1, SumOp{});
+  });
+  EXPECT_EQ(got, (std::vector<int>{3, 3}));
+}
+
+TEST(ChannelFaults, AbortReleasesSpinningAndParkedChannelWaiters) {
+  Engine engine(4);
+  // Ranks 0-2 wait in an allreduce for rank 3, which fails after 30 ms —
+  // long past the spin bound, so they are parked on their channels by
+  // then. The abort must release all three with WorldAborted and the
+  // submitter must see rank 3's error.
+  std::atomic<int> released{0};
+  EXPECT_THROW(engine.run(4,
+                          [&](Process& p) {
+                            if (p.rank() == 3) {
+                              std::this_thread::sleep_for(30ms);
+                              throw std::runtime_error("rank 3 fails");
+                            }
+                            try {
+                              (void)p.allreduce(1.0, SumOp{});
+                            } catch (const WorldAborted&) {
+                              released.fetch_add(1);
+                              throw;
+                            }
+                          }),
+               std::runtime_error);
+  EXPECT_EQ(released.load(), 3);
+  // A deadline tears down the same waiters without any failing rank.
+  EXPECT_THROW(engine.run(
+                   4,
+                   [](Process& p) {
+                     if (p.rank() != 3) (void)p.allreduce(1.0, SumOp{});
+                     if (p.rank() == 3) (void)p.recv_value<int>(0, 9);
+                   },
+                   JobOptions{.deadline = 40ms}),
+               JobDeadlineExceeded);
+  std::vector<double> got(4, 0.0);
+  engine.run(4, [&](Process& p) {
+    got[static_cast<std::size_t>(p.rank())] = p.allreduce(1.0, SumOp{});
+  });
+  EXPECT_EQ(got, std::vector<double>(4, 4.0));
+}
+
+/// Ghost fingerprint of one halo round on a 2x2-block, 4-rank periodic
+/// layout: every rank's ghost cells summed, allreduced. Bitwise-stable
+/// across clean runs.
+double plan_round_fingerprint(Process& p, int throw_rank) {
+  mesh::BlockLayout2D layout;
+  layout.global_nx = 12;
+  layout.global_ny = 10;
+  layout.nbx = 2;
+  layout.nby = 2;
+  layout.ghost = 1;
+  layout.periodic = mesh::Periodicity{true, true};
+  const auto owner = mesh::distribute_blocks_contiguous(4, p.size());
+  mesh::BlockSet<double> u(layout, owner, p.rank());
+  u.init_from_global([](std::size_t i, std::size_t j) {
+    return 1.0 + static_cast<double>(i * 31 + j) / 7.0;
+  });
+  mesh::BlockExchangePlan2D plan(u, mesh::BlockExchangeOptions{true});
+  plan.begin_exchange_all(p, u);
+  if (p.rank() == throw_rank) throw std::runtime_error("between begin and end");
+  plan.end_exchange_all(p, u);
+  double ghosts = 0.0;
+  for (const auto& blk : u) {
+    const auto& g = blk.grid();
+    const auto nx = static_cast<std::ptrdiff_t>(g.nx());
+    const auto ny = static_cast<std::ptrdiff_t>(g.ny());
+    for (std::ptrdiff_t i = -1; i <= nx; ++i) {
+      for (std::ptrdiff_t j = -1; j <= ny; ++j) {
+        if (i < 0 || j < 0 || i == nx || j == ny) ghosts += g(i, j);
+      }
+    }
+  }
+  return p.allreduce(ghosts, SumOp{});
+}
+
+TEST(ChannelFaults, ThrowBetweenBeginAndEndLeavesEngineReusable) {
+  auto engine = std::make_shared<Engine>(4);
+  Scheduler sched(engine);
+  double reference = 0.0;
+  const auto clean = sched.run(4, [&](Process& p) {
+    const double f = plan_round_fingerprint(p, -1);
+    if (p.rank() == 0) reference = f;
+  });
+  ASSERT_NE(reference, 0.0);
+  for (int victim = 0; victim < 4; ++victim) {
+    // The victim published its round and never receives its peers' halos:
+    // their channels into it are left full. The next job must not see them.
+    EXPECT_THROW(sched.run(4, [&](Process& p) {
+                   (void)plan_round_fingerprint(p, victim);
+                 }),
+                 std::runtime_error);
+    double again = 0.0;
+    const auto trace = sched.run(4, [&](Process& p) {
+      const double f = plan_round_fingerprint(p, -1);
+      if (p.rank() == 0) again = f;
+    });
+    EXPECT_EQ(std::memcmp(&again, &reference, sizeof again), 0)
+        << "victim " << victim;
+    EXPECT_EQ(trace.messages, clean.messages);
+    EXPECT_EQ(trace.bytes, clean.bytes);
+  }
+}
+
+TEST(ChannelFaults, InjectedPopFailureOnAPlanRoundIsTheRootCause) {
+  Engine engine(4);
+  FaultPlan plan(8, {FaultRule{.site = FaultSite::kMailboxPop,
+                              .rank = 2,
+                              .at_op = 0,
+                              .kind = FaultKind::kThrow}});
+  {
+    FaultInjectionScope scope(plan);
+    EXPECT_THROW(engine.run(4, [](Process& p) {
+                   (void)plan_round_fingerprint(p, -1);
+                 }),
+                 FaultInjected);
+  }
+  EXPECT_EQ(plan.fired(0), 1u);
+  double after = 0.0;
+  engine.run(4, [&](Process& p) {
+    const double f = plan_round_fingerprint(p, -1);
+    if (p.rank() == 0) after = f;
+  });
+  EXPECT_GT(after, 0.0);
+}
+
+/// Scalar collectives at one width: allreduce (recursive doubling at 2 and
+/// 4, reduce + broadcast at 3), reduce to a non-zero root, exscan, and a
+/// 24-byte struct allreduce. Returns rank 0's results.
+std::vector<double> collectives_job(Scheduler& sched, int np,
+                                    const JobOptions& options = {}) {
+  struct Stats {
+    double sum;
+    double max;
+    std::uint64_t count;
+  };
+  std::vector<double> out;
+  sched.run(
+      np,
+      [&](Process& p) {
+        std::vector<double> r;
+        const double x = 1.0 / (3.0 + static_cast<double>(p.rank()));
+        for (int k = 0; k < 8; ++k) {
+          r.push_back(p.allreduce(x * (k + 1), SumOp{}));
+          r.push_back(p.reduce(x - k, MaxOp{}, p.size() - 1));
+          r.push_back(p.exscan(x + k, SumOp{}, 0.5));
+          const Stats s = p.allreduce(
+              Stats{x, x, 1}, [](const Stats& a, const Stats& b) {
+                return Stats{a.sum + b.sum, a.max < b.max ? b.max : a.max,
+                             a.count + b.count};
+              });
+          r.push_back(s.sum + s.max + static_cast<double>(s.count));
+        }
+        if (p.rank() == 0) out = std::move(r);
+      },
+      Priority::kNormal, options);
+  return out;
+}
+
+/// The shock-interface scenario on a small domain for a few steps;
+/// returns the gathered density (rank 0).
+Array2D<double> euler_job(Scheduler& sched, int np,
+                          const JobOptions& options = {}) {
+  app::CfdConfig cfg;
+  cfg.nx = 48;
+  cfg.ny = 16;
+  Array2D<double> out;
+  sched.run(
+      np,
+      [&](Process& p) {
+        app::CfdSim sim(p, mpl::CartGrid2D::near_square(p.size()), cfg);
+        sim.init_shock_interface();
+        (void)sim.run(4);
+        auto rho = sim.gather_density();
+        if (p.rank() == 0) out = std::move(rho);
+      },
+      Priority::kNormal, options);
+  return out;
+}
+
+/// Seeded push/pop fault rules: delay pressure at both sites, and
+/// sometimes a drop (a receiver wedges; the watchdog rescues) or a thrown
+/// send or receive.
+FaultPlan make_channel_soak_plan(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<FaultRule> rules;
+  for (const FaultSite site : {FaultSite::kMailboxPush, FaultSite::kMailboxPop}) {
+    rules.push_back(FaultRule{.site = site,
+                              .rank = static_cast<int>(rng() % 4),
+                              .at_op = rng() % 16,
+                              .period = 8 + rng() % 24,
+                              .probability = 0.5,
+                              .kind = FaultKind::kDelay,
+                              .delay_us = 10 + static_cast<std::uint32_t>(rng() % 150)});
+  }
+  if (rng() % 10 < 4) {
+    rules.push_back(FaultRule{.site = FaultSite::kMailboxPush,
+                              .rank = static_cast<int>(rng() % 4),
+                              .at_op = rng() % 64,
+                              .kind = FaultKind::kDrop});
+  }
+  if (rng() % 10 < 4) {
+    rules.push_back(FaultRule{.site = rng() % 2 == 0 ? FaultSite::kMailboxPush
+                                                     : FaultSite::kMailboxPop,
+                              .rank = static_cast<int>(rng() % 4),
+                              .at_op = rng() % 64,
+                              .kind = FaultKind::kThrow});
+  }
+  return FaultPlan(seed, std::move(rules));
+}
+
+bool same_bits(const Array2D<double>& a, const Array2D<double>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ChannelFaults, SoakOverPlanRoundsAndScalarCollectives) {
+  auto engine = std::make_shared<Engine>(4);
+  Scheduler sched(engine);
+
+  app::PoissonProblem poisson;
+  poisson.nx = 17;
+  poisson.ny = 17;
+  poisson.tolerance = 1e-3;
+  poisson.max_iters = 300;
+  poisson.f = [](double x, double y) { return x + y; };
+  poisson.g = [](double x, double y) { return x - y; };
+  const auto poisson_ref = app::poisson_spmd(poisson, sched, 4);
+  const auto euler_ref = euler_job(sched, 3);
+  const auto coll_ref3 = collectives_job(sched, 3);
+  const auto coll_ref4 = collectives_job(sched, 4);
+  ASSERT_GT(poisson_ref.iterations, 0u);
+  ASSERT_FALSE(euler_ref.empty());
+
+  // Only the watchdog is armed: every job ends in success, a stall it
+  // detects, or the injected failure — anything else fails the test.
+  const JobOptions options{.watchdog_grace = 250ms};
+  const int total_jobs = std::max(12, soak_job_count() / 2);
+  int failures = 0;
+  for (int j = 0; j < total_jobs; ++j) {
+    const std::uint64_t seed = 5000 + static_cast<std::uint64_t>(j / 3);
+    FaultPlan plan = make_channel_soak_plan(seed);
+    bool failed = false;
+    try {
+      const FaultInjectionScope scope(plan);
+      switch (j % 3) {
+        case 0:
+          (void)app::poisson_spmd(poisson, sched, 4, Priority::kNormal, options);
+          break;
+        case 1:
+          (void)euler_job(sched, 3, options);
+          break;
+        default:
+          (void)collectives_job(sched, 3 + (j / 3) % 2, options);
+          break;
+      }
+    } catch (const FaultInjected&) {
+      failed = true;
+    } catch (const JobStalled&) {
+      failed = true;
+    }
+    if (!failed) continue;
+    ++failures;
+    // The same engine's next job, fault-free, is bitwise the reference.
+    switch (j % 3) {
+      case 0: {
+        const auto r = app::poisson_spmd(poisson, sched, 4);
+        ASSERT_EQ(r.iterations, poisson_ref.iterations) << "job " << j;
+        ASSERT_TRUE(same_bits(r.u, poisson_ref.u)) << "job " << j;
+        break;
+      }
+      case 1:
+        ASSERT_TRUE(same_bits(euler_job(sched, 3), euler_ref)) << "job " << j;
+        break;
+      default:
+        ASSERT_EQ(collectives_job(sched, 3), coll_ref3) << "job " << j;
+        ASSERT_EQ(collectives_job(sched, 4), coll_ref4) << "job " << j;
+        break;
+    }
+  }
+  EXPECT_GT(failures, 0) << "no plan injected a visible channel fault";
+  // And a clean round of every kind at the end.
+  EXPECT_TRUE(same_bits(euler_job(sched, 3), euler_ref));
+  EXPECT_EQ(collectives_job(sched, 3), coll_ref3);
+  EXPECT_EQ(collectives_job(sched, 4), coll_ref4);
 }
 
 }  // namespace
