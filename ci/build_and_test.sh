@@ -178,11 +178,14 @@ fi
 # test_task, whose work-stealing pool overflows its stack under ASan's
 # larger frames (ROADMAP item 3): the flags go in through CMAKE_CXX_FLAGS
 # and CMAKE_EXE_LINKER_FLAGS, so PPA_SANITIZE stays a thread-only switch.
-# Same reduced soak as the TSan leg.
+# The Release flags drop -DNDEBUG, so this leg also runs every assert (the
+# exchange plans' in-flight and message-size checks among them), which no
+# other leg compiles in. Same reduced soak as the TSan leg.
 ASAN_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 if echo 'int main(){}' | g++ -xc++ -fsanitize=address,undefined -o /tmp/asan_probe - 2>/dev/null; then
   echo "==> ASan+UBSan build"
   cmake -B "$BUILD_DIR-asan" -S . -DCMAKE_CXX_FLAGS="$ASAN_FLAGS" \
+    -DCMAKE_CXX_FLAGS_RELEASE=-O2 \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
     -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-asan" -j "$JOBS"

@@ -4,9 +4,9 @@
 // problem with a heated-patch right-hand side on 4 SPMD processes, report
 // convergence, and render the solution field. The solver iterates on the
 // split-phase exchange: a persistent BlockExchangePlan2D round (one block
-// per process) is begun each iteration, the ghost-independent core is
-// relaxed while the halos are in flight, and the rim is relaxed after
-// end_exchange_all.
+// per process, 2-deep halo) is begun every two sweeps, the first sweep's
+// ghost-independent core is relaxed while the halos are in flight, the
+// rest after end_exchange_all, and one allreduce decides both sweeps.
 //
 // Runs as a smoke test: prints one SELF-CHECK line and exits nonzero on
 // failure (converged, positive iteration count, and a hot interior).

@@ -12,18 +12,24 @@
 // loop, sequentially executable.
 //
 // Version 2 (paper Fig 14): SPMD with a generic block distribution over an
-// NPX x NPY process grid; every iteration is one boundary exchange, one
-// local grid operation, and one allreduce(max) that re-establishes copy
+// NPX x NPY process grid. The grid is a block set (one block per process by
+// default, any block→rank map on request) with a ghost zone two points
+// deep, so one boundary exchange serves two Jacobi sweeps. Every round is
+// one split-phase exchange (a persistent BlockExchangePlan2D, corners
+// included), sweep A over the owned points plus a one-point ring of the
+// neighbours' points, sweep B over the owned points alone, and one
+// allreduce(max) of both sweeps' diffmax that re-establishes copy
 // consistency of the replicated global `diffmax` before it controls the
-// loop. The grid is a block set (one block per process by default, any
-// block→rank map on request) and the exchange is split-phase (a persistent
-// BlockExchangePlan2D): the ghost-independent core is relaxed while the halo
-// messages are in flight, the rim after end_exchange_all.
+// loop. Sweep A's ghost-independent core is relaxed while the halo messages
+// are in flight, the rest after end_exchange_all. If sweep A already meets
+// the tolerance, its iterate is the answer and the iteration count grows by
+// one; otherwise by two.
 //
 // Determinism note: each interior point's update uses identical arithmetic
-// in both versions and the convergence test combines with max (exact under
-// any association), so version 1 and version 2 agree bitwise and take the
-// same number of iterations.
+// in both versions (the ring recomputes a neighbour's points from the same
+// inputs, so it equals them bitwise) and the convergence test combines
+// with max (exact under any association), so version 1 and version 2
+// agree bitwise and take the same number of iterations.
 #pragma once
 
 #include <cstddef>
@@ -59,11 +65,14 @@ struct PoissonResult {
 
 /// Version 2, per-process body (paper Fig 14) on a block-decomposed domain:
 /// each rank owns the blocks `owner` assigns it (N >= 1, oversubscription
-/// welcome) and every iteration runs ONE batched boundary round over its
-/// whole block set. Identical per-point arithmetic and a max-combined
-/// convergence test keep any decomposition bitwise-equal to poisson_v1.
-/// Returns the shared iteration count; the result field on rank 0 is the
-/// gathered global grid, other ranks return an empty grid.
+/// welcome) and every round runs ONE batched 2-deep boundary exchange over
+/// its whole block set, two Jacobi sweeps and one allreduce. The blocks
+/// get a ghost width of max(layout.ghost, 2). Identical per-point
+/// arithmetic and a max-combined convergence test keep any decomposition
+/// bitwise-equal to poisson_v1. Returns the shared iteration count; the
+/// result field on rank 0 is the gathered global grid, other ranks return
+/// an empty grid. Throws std::invalid_argument when a block of `layout` is
+/// narrower than 2 points along either axis.
 [[nodiscard]] PoissonResult poisson_process(mpl::Process& p,
                                             const mesh::BlockLayout2D& layout,
                                             const std::vector<int>& owner,

@@ -78,6 +78,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -119,6 +120,8 @@ class BlockExchangePlan2D {
 
   /// Compile the table for `rank` under the given layout and block→rank
   /// map. All ranks must compile with the same layout, map and options.
+  /// Throws std::invalid_argument when the ghost width exceeds a block's
+  /// extent along either axis.
   BlockExchangePlan2D(const BlockLayout2D& layout, std::vector<int> owner,
                       int rank, Options options = Options()) {
     compile(layout, std::move(owner), rank, options);
@@ -266,16 +269,20 @@ class BlockExchangePlan2D {
     key_ = mpl::kPlanChannelBase + options.tag_block;
     const auto g = static_cast<std::ptrdiff_t>(layout.ghost);
     if (g == 0) return;
-#ifndef NDEBUG
+    // A block narrower than the halo would pack its own ghost cells as
+    // interior data: refuse the layout in every build.
     for (int bx = 0; bx < layout.nbx; ++bx) {
-      assert(layout.x_range(bx).size() >= layout.ghost &&
-             "BlockExchangePlan2D: ghost width exceeds a block's x extent");
+      if (layout.x_range(bx).size() < layout.ghost) {
+        throw std::invalid_argument(
+            "BlockExchangePlan2D: ghost width exceeds a block's x extent");
+      }
     }
     for (int by = 0; by < layout.nby; ++by) {
-      assert(layout.y_range(by).size() >= layout.ghost &&
-             "BlockExchangePlan2D: ghost width exceeds a block's y extent");
+      if (layout.y_range(by).size() < layout.ghost) {
+        throw std::invalid_argument(
+            "BlockExchangePlan2D: ghost width exceeds a block's y extent");
+      }
     }
-#endif
 
     struct Directed {
       int peer;

@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "apps/poisson/poisson.hpp"
 
@@ -141,7 +143,10 @@ TEST(PoissonApp, MaxItersGuards) {
 }
 
 TEST(PoissonApp, PerIterationCommunicationPattern) {
-  // Paper Fig 14: each iteration = one boundary exchange + one allreduce.
+  // Paper Fig 14 with a 2-deep halo: each round = one boundary exchange +
+  // two Jacobi sweeps + one allreduce of both sweeps' diffmax. A solve that
+  // stops on a round's first sweep ends with that round, so `iters` sweeps
+  // take ceil(iters / 2) rounds.
   constexpr int kP = 4;
   PoissonProblem prob;
   prob.nx = prob.ny = 17;
@@ -159,9 +164,9 @@ TEST(PoissonApp, PerIterationCommunicationPattern) {
         return 0;
       },
       &trace);
-  // One allreduce per iteration (counted once per rank) plus the final
-  // gather for output.
-  EXPECT_EQ(trace.op(mpl::Op::kAllreduce), iters * kP);
+  // One allreduce per round (counted once per rank) plus the final gather
+  // for output.
+  EXPECT_EQ(trace.op(mpl::Op::kAllreduce), (iters + 1) / 2 * kP);
   EXPECT_EQ(trace.op(mpl::Op::kGather), 2u * kP);  // header + payload gathers
 }
 
@@ -196,19 +201,22 @@ TEST(PoissonBlocks, OneBlockPerRankMatchesSequentialBitwise) {
 }
 
 TEST(PoissonBlocks, OneBlockPerRankMessageCountsPinned) {
-  // 912 iterations of one halo round and one allreduce each, then the
-  // header + payload gathers. `messages` and the collective counts are
-  // those of the one-grid-per-rank ExchangePlan2D driver this path
-  // replaced (no peer is reached twice on a non-periodic grid); `bytes`
-  // carry the batched round's 8-byte status word per strip and the block
+  // 912 sweeps in 456 rounds of one halo exchange and one allreduce each,
+  // then the header + payload gathers. np=2 (2x1 blocks): 456 rounds x
+  // (1 halo + 1 allreduce message) x 2 ranks + 2 gather messages. np=4
+  // (2x2 blocks): each rank has two face peers and one diagonal peer (the
+  // 2-deep halo's corner patch), and its recursive-doubling allreduce
+  // sends 2 messages: 456 x (3 + 2) x 4 + 6. `bytes` carry the 2-deep
+  // strips and corner patches, each record's 8-byte status word, the
+  // 16-byte two-sweep diffmax pair per allreduce message, and the block
   // gather's 6-word headers.
   const auto prob = block_test_problem();
   struct Pin {
     int np;
     std::uint64_t messages, bytes, allreduce, gather;
   };
-  for (const Pin pin : {Pin{2, 3650, 338352, 1824, 4},
-                        Pin{4, 14598, 908896, 3648, 8}}) {
+  for (const Pin pin : {Pin{2, 1826, 331056, 912, 4},
+                        Pin{4, 9126, 952672, 1824, 8}}) {
     const auto pgrid = mpl::CartGrid2D::near_square(pin.np);
     mpl::TraceSnapshot trace;
     std::size_t iters = 0;
@@ -266,45 +274,111 @@ TEST(PoissonBlocks, AnyDistributionMatchesReferenceBitwise) {
   }
 }
 
-TEST(PoissonBlocks, SwapInsteadOfCopyBackMatchesV1BitwiseEachIteration) {
-  // The iteration swaps its old and new block sets instead of copying the
-  // new values back. Stopping after 1, 2 and 3 rounds (tolerance 0 never
-  // converges) pins that each round's field, count and diffmax still equal
-  // poisson_v1's, for one block per rank and a round-robin multi-block
-  // map.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// A small problem with a nonzero right-hand side, so the ring sweep reads
+/// the f values each rank evaluates at its neighbours' points.
+PoissonProblem round_boundary_problem() {
   PoissonProblem prob;
   prob.nx = 19;
   prob.ny = 14;
-  prob.tolerance = 0.0;
   prob.g = [](double x, double y) { return 1.0 + x * x - 0.5 * y; };
   prob.f = [](double x, double y) { return std::sin(3.0 * x) + y; };
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return prob;
+}
 
-  for (const std::size_t iters : {1u, 2u, 3u}) {
-    prob.max_iters = iters;
-    const auto v1 = app::poisson_v1(prob);
-    ASSERT_EQ(v1.iterations, iters);
-    for (const int np : {1, 2, 4, 8}) {
-      mesh::BlockConfig round_robin;
-      round_robin.nbx = 3;
-      round_robin.nby = 3;
-      round_robin.owner = mesh::distribute_blocks_round_robin(9, np);
-      for (const auto& config : {mesh::BlockConfig{}, round_robin}) {
-        const auto blk = app::poisson_spmd(prob, np, config);
-        const std::string where = "iters=" + std::to_string(iters) +
-                                  " np=" + std::to_string(np) +
-                                  " nbx=" + std::to_string(config.nbx);
-        EXPECT_EQ(blk.iterations, v1.iterations) << where;
-        EXPECT_EQ(bits(blk.final_diffmax), bits(v1.final_diffmax)) << where;
-        ASSERT_EQ(blk.u.rows(), v1.u.rows()) << where;
-        ASSERT_EQ(blk.u.cols(), v1.u.cols()) << where;
-        for (std::size_t i = 0; i < v1.u.rows(); ++i) {
-          for (std::size_t j = 0; j < v1.u.cols(); ++j) {
-            ASSERT_EQ(bits(blk.u(i, j)), bits(v1.u(i, j)))
-                << where << " at (" << i << "," << j << ")";
-          }
+/// The block maps the round-boundary cases run at `np` ranks: one block
+/// per rank, round-robin 3x3, and a lopsided 4x2 map (all on rank 0 but
+/// block 5).
+std::vector<mesh::BlockConfig> round_boundary_maps(int np) {
+  mesh::BlockConfig round_robin;
+  round_robin.nbx = 3;
+  round_robin.nby = 3;
+  round_robin.owner = mesh::distribute_blocks_round_robin(9, np);
+  mesh::BlockConfig lopsided;
+  lopsided.nbx = 4;
+  lopsided.nby = 2;
+  lopsided.owner.assign(8, 0);
+  lopsided.owner[5] = np - 1;
+  return {mesh::BlockConfig{}, round_robin, lopsided};
+}
+
+/// Every round-boundary case: the solve at np 1/2/3/4/8 on every map of
+/// round_boundary_maps gives v1's field bits, iteration count and
+/// final_diffmax bits.
+void expect_all_maps_match_v1(const PoissonProblem& prob,
+                              const std::string& label) {
+  const auto v1 = app::poisson_v1(prob);
+  for (const int np : {1, 2, 3, 4, 8}) {
+    for (const auto& config : round_boundary_maps(np)) {
+      const auto blk = app::poisson_spmd(prob, np, config);
+      const std::string where = label + " np=" + std::to_string(np) +
+                                " nbx=" + std::to_string(config.nbx);
+      EXPECT_EQ(blk.iterations, v1.iterations) << where;
+      EXPECT_EQ(bits(blk.final_diffmax), bits(v1.final_diffmax)) << where;
+      ASSERT_EQ(blk.u.rows(), v1.u.rows()) << where;
+      ASSERT_EQ(blk.u.cols(), v1.u.cols()) << where;
+      for (std::size_t i = 0; i < v1.u.rows(); ++i) {
+        for (std::size_t j = 0; j < v1.u.cols(); ++j) {
+          ASSERT_EQ(bits(blk.u(i, j)), bits(v1.u(i, j)))
+              << where << " at (" << i << "," << j << ")";
         }
       }
+    }
+  }
+}
+
+TEST(PoissonBlocks, SwapInsteadOfCopyBackMatchesV1BitwiseEachIteration) {
+  // The iteration swaps its old and new block sets instead of copying the
+  // new values back, two sweeps per round. Stopping after 1 to 6 sweeps
+  // (tolerance 0 never converges) pins that each count's field and diffmax
+  // still equal poisson_v1's; odd counts end on a lone first sweep.
+  auto prob = round_boundary_problem();
+  prob.tolerance = 0.0;
+  for (std::size_t iters = 1; iters <= 6; ++iters) {
+    prob.max_iters = iters;
+    ASSERT_EQ(app::poisson_v1(prob).iterations, iters);
+    expect_all_maps_match_v1(prob, "max_iters=" + std::to_string(iters));
+  }
+}
+
+TEST(PoissonBlocks, ConvergesOnEitherSweepOfARoundMatchesV1Bitwise) {
+  // One allreduce decides two sweeps. A solve whose tolerance is first met
+  // on a round's first sweep (odd count) must return that sweep's iterate
+  // and diffmax, not the second's; one met on the second sweep (even
+  // count), the second's. The tolerance is v1's diffmax after `target`
+  // sweeps, so v1 stops exactly there.
+  for (const std::size_t target : {1u, 2u, 7u, 8u}) {
+    auto probe = round_boundary_problem();
+    probe.tolerance = 0.0;
+    probe.max_iters = target;
+    auto prob = round_boundary_problem();
+    prob.tolerance = app::poisson_v1(probe).final_diffmax;
+    ASSERT_EQ(app::poisson_v1(prob).iterations, target);
+    expect_all_maps_match_v1(prob, "converge_at=" + std::to_string(target));
+  }
+}
+
+TEST(PoissonBlocks, BlockNarrowerThanTwoPointsThrowsTyped) {
+  // A round sweeps twice on one 2-deep exchange, which needs every block
+  // at least 2 points wide: 5 points over 3 blocks leaves one 1 wide.
+  struct Case {
+    std::size_t nx, ny;
+    int nbx, nby;
+  };
+  for (const Case c : {Case{5, 8, 3, 2}, Case{8, 5, 2, 3}}) {
+    PoissonProblem prob;
+    prob.nx = c.nx;
+    prob.ny = c.ny;
+    mesh::BlockConfig narrow;
+    narrow.nbx = c.nbx;
+    narrow.nby = c.nby;
+    try {
+      (void)app::poisson_spmd(prob, 2, narrow);
+      ADD_FAILURE() << "no throw for " << c.nbx << "x" << c.nby << " blocks";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("poisson_process"), std::string::npos)
+          << e.what();
     }
   }
 }

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -668,6 +669,24 @@ TEST(BlockPlan, MismatchedBlockSetThrowsTyped) {
     EXPECT_FALSE(plan.in_flight());
     plan.exchange_all(p, u);  // still usable with the right set
   });
+}
+
+TEST(BlockPlan, GhostWiderThanABlockThrowsTyped) {
+  // 5 points over 3 blocks leaves one block a single point wide: a 2-deep
+  // halo would pack that block's own ghost cells as interior data. The
+  // check holds in every build, not only where assertions are compiled in.
+  auto narrow_x = make_layout(5, 8, 3, 2, {false, false});
+  auto narrow_y = make_layout(8, 5, 2, 3, {false, false});
+  narrow_x.ghost = narrow_y.ghost = 2;
+  const std::vector<int> owner(6, 0);
+  EXPECT_THROW({ BlockExchangePlan2D plan(narrow_x, owner, 0); },
+               std::invalid_argument);
+  EXPECT_THROW({ BlockExchangePlan2D plan(narrow_y, owner, 0); },
+               std::invalid_argument);
+  // The same blocks take a 1-deep halo.
+  narrow_x.ghost = narrow_y.ghost = 1;
+  EXPECT_NO_THROW({ BlockExchangePlan2D plan(narrow_x, owner, 0); });
+  EXPECT_NO_THROW({ BlockExchangePlan2D plan(narrow_y, owner, 0); });
 }
 
 }  // namespace
