@@ -155,7 +155,9 @@ awk '
 # receiver through a lock-free published count (the substrate suite drives
 # them directly), and the fixed-peer channels hand scalar collectives and
 # block-plan halo buffers over a lock-free sequence word and credit count
-# (the collectives, faults, blockset, cfd and airshed suites drive them);
+# (the collectives, faults, blockset, cfd and airshed suites drive them,
+# and the exchange-plan, meshspectral and kernels suites through
+# ExchangePlan2D, which is the block plan at one block per rank);
 # vet them under TSan when the toolchain
 # supports it (probe first — some images ship g++ without libtsan). Bench
 # and examples are skipped (timing-sensitive), and the fault soak runs
@@ -165,11 +167,11 @@ if echo 'int main(){}' | g++ -xc++ -fsanitize=thread -o /tmp/tsan_probe - 2>/dev
   cmake -B "$BUILD_DIR-tsan" -S . -DPPA_SANITIZE=thread \
     -DPPA_BUILD_BENCH=OFF -DPPA_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR-tsan" -j "$JOBS"
-  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + mpl + collectives + poisson + substrate + blockset + cfd + airshed)"
+  echo "==> TSan test (engine + scheduler + pipeline + faults + compose + mpl + collectives + poisson + substrate + blockset + cfd + airshed + exchange_plan + meshspectral + kernels)"
   PPA_FAULT_SOAK_JOBS=40 PPA_SCHED_SOAK_JOBS=40 PPA_COMPOSE_SMOKE=1 \
     ctest --test-dir "$BUILD_DIR-tsan" \
     --output-on-failure -j "$JOBS" \
-    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_mpl|test_collectives|test_app_poisson|test_substrate|test_blockset|test_app_cfd|test_app_airshed'
+    -R 'test_engine|test_scheduler|test_pipeline|test_faults|test_compose|test_mpl|test_collectives|test_app_poisson|test_substrate|test_blockset|test_app_cfd|test_app_airshed|test_exchange_plan|test_meshspectral|test_kernels'
 else
   echo "==> TSan leg skipped (no usable -fsanitize=thread toolchain)"
 fi

@@ -1,8 +1,9 @@
 // ppa/meshspectral/blockplan.hpp
 //
-// Batched boundary exchange for multi-block domains (blockset.hpp) — the
-// halo-exchange plan generalized from one grid per rank to a BlockSet, in
-// the shape of Parthenon's `bvals_in_one`: compile, once per block set, a
+// The 2-D halo exchange: batched boundary rounds for multi-block domains
+// (blockset.hpp), in the shape of Parthenon's `bvals_in_one`, and
+// ExchangePlan2D, the same plan at one block per rank for a rank that holds
+// its section as a bare Grid2D. Compile, once per block set, a
 // boundary-buffer table covering every (block, neighbor-block) face/corner
 // pair, split into
 //
@@ -41,8 +42,8 @@
 // then unpacks, so a block woken by one neighbor still receives every
 // other neighbor's strip from the same round. Unallocated destinations
 // discard trivial strips without ever allocating. Local copies are staged
-// at begin in the same record format (snapshot semantics, like
-// ExchangePlan2D) and applied in the same two-pass order at end.
+// at begin in the same record format (snapshot semantics) and applied in
+// the same two-pass order at end.
 //
 // Transport and buffers: each peer's message travels on the fixed-peer
 // channel (mpl/channel.hpp) from this rank to that peer under the plan's
@@ -53,22 +54,31 @@
 // the channel (two per channel, alternating rounds), so a plan owns no
 // message memory, a round allocates nothing once the buffers have grown to
 // the round's size, and destroying a plan mid-round waits for no peer.
-// At one block per rank the round sends one message per neighbor rank;
-// only a peer reached through two directions (a periodic axis two blocks
-// wide) gets one coalesced message instead of two.
+// At one block per rank the round sends one message per neighbor rank; a
+// peer reached through several directions (a periodic axis two blocks
+// wide) gets one coalesced message.
+//
+// One grid per rank: ExchangePlan2D builds block_layout(pgrid, ...) and
+// block_owners(pgrid) — block (bx, by) on pgrid.rank_of(bx, by) — and runs
+// its rounds through the Grid2D overloads of begin/end_exchange_all, which
+// take the rank's one block as a bare grid. Both forms share one record
+// writer, channel round and unpacker; they differ only in how a round
+// reaches a block's grid (owned_grid).
 //
 // Tags: a plan owns one tag block, and with it one channel per (peer,
 // direction); every message carries the tag kExchangeTagBase + tag_block *
-// kExchangeTagStride + 27, which the receiving channel checks. Block plans
-// simultaneously in flight need distinct tag blocks — then their rounds
+// kExchangeTagStride + 27, which the receiving channel checks. Plans
+// simultaneously in flight, block plans and ExchangePlan2Ds alike, need
+// distinct tag blocks — then their rounds
 // may begin and end in any interleaving, and a collective between begin
 // and end (euler2d's dt allreduce) rides its own channel. Plans on one tag
 // block used one after another share its channels in SPMD order.
 //
 // Thread-safety and ownership: owned by one rank (thread); holds no
-// reference to any block set — begin/end take the set as an argument and
-// validate (PlanShapeMismatch) that its layout, distribution and rank
-// match what was compiled. At most one exchange per plan may be in flight.
+// reference to any block set or grid — begin/end take it as an argument
+// and validate (PlanShapeMismatch) that a set's layout, distribution and
+// rank, or a bare grid's extents, ghost width and global window, match
+// what was compiled. At most one exchange per plan may be in flight.
 #pragma once
 
 #include <algorithm>
@@ -79,6 +89,7 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -138,16 +149,21 @@ class BlockExchangePlan2D {
   /// rank and publish it; stage the on-rank copies. Waits only for credit:
   /// a peer still unpacking the round before the previous one. Sent and
   /// staged data are a snapshot — interior writes after begin do not alter
-  /// them.
-  template <typename T>
-  void begin_exchange_all(mpl::Process& p, BlockSet<T>& blocks) {
-    check_blockset(blocks);
+  /// them. `blocks` is a BlockSet<T>, or the Grid2D<T> of a rank that owns
+  /// exactly one block (ExchangePlan2D's form); either must match what was
+  /// compiled (PlanShapeMismatch, thrown before anything is sent).
+  template <typename Blocks>
+  void begin_exchange_all(mpl::Process& p, Blocks& blocks) {
+    using T = typename Blocks::value_type;
+    check(blocks);
     assert(!in_flight_ && "BlockExchangePlan2D: begin without matching end");
     in_flight_ = true;
     for (const auto& pl : send_peers_) {
       std::byte* out = p.channel_buffer(pl.peer, key_, max_bytes<T>(pl));
       std::size_t n = 0;
-      for (const auto& e : pl.entries) n += write_record(out + n, blocks, e);
+      for (const auto& e : pl.entries) {
+        n += write_record(out + n, owned_grid(blocks, e.src_id), e);
+      }
       p.channel_send(pl.peer, key_, tag_, n);
     }
     // On-rank pairs are staged in the wire format too, so end applies them
@@ -155,8 +171,8 @@ class BlockExchangePlan2D {
     staged_local_.resize(std::max(staged_local_.size(), max_bytes<T>(local_)));
     staged_bytes_ = 0;
     for (const auto& e : local_.entries) {
-      staged_bytes_ +=
-          write_record(staged_local_.data() + staged_bytes_, blocks, e);
+      staged_bytes_ += write_record(staged_local_.data() + staged_bytes_,
+                                    owned_grid(blocks, e.src_id), e);
     }
   }
 
@@ -164,9 +180,10 @@ class BlockExchangePlan2D {
   /// round: allocation pass first (sparse mode), then unpack — incoming
   /// strips into ghost cells, zero-fill for strips from deallocated
   /// sources, on-rank staged copies alongside — and hand the buffers back.
-  template <typename T>
-  void end_exchange_all(mpl::Process& p, BlockSet<T>& blocks) {
-    check_blockset(blocks);
+  template <typename Blocks>
+  void end_exchange_all(mpl::Process& p, Blocks& blocks) {
+    using T = typename Blocks::value_type;
+    check(blocks);
     assert(in_flight_ && "BlockExchangePlan2D: end without begin");
     in_flight_ = false;
 
@@ -181,13 +198,16 @@ class BlockExchangePlan2D {
     // Allocation pass: a deallocated destination materializes iff some
     // incoming strip from this round is non-trivial — *before* any strip
     // is unpacked, so the new block receives all of this round's halos.
-    if (options_.sparse) {
-      for (const auto& r : records_) {
-        if (r.data == nullptr) continue;
-        auto& dst = blocks.block(
-            static_cast<std::size_t>(blocks.local_index(r.edge->dst_id)));
-        if (!dst.allocated() && nontrivial_any<T>(r.data, r.edge->count)) {
-          dst.allocate();
+    // Only a block set has blocks to materialize.
+    if constexpr (std::is_same_v<Blocks, BlockSet<T>>) {
+      if (options_.sparse) {
+        for (const auto& r : records_) {
+          if (r.data == nullptr) continue;
+          auto& dst = blocks.block(
+              static_cast<std::size_t>(blocks.local_index(r.edge->dst_id)));
+          if (!dst.allocated() && nontrivial_any<T>(r.data, r.edge->count)) {
+            dst.allocate();
+          }
         }
       }
     }
@@ -196,17 +216,17 @@ class BlockExchangePlan2D {
     // (their value is zero by definition); allocated destinations take the
     // strip, or a zero fill when the source was deallocated.
     for (const auto& r : records_) {
-      auto& dst = blocks.block(
-          static_cast<std::size_t>(blocks.local_index(r.edge->dst_id)));
-      if (dst.allocated()) apply_strip(dst.grid(), r.edge->recv, r.data);
+      if (auto* dst = owned_grid(blocks, r.edge->dst_id)) {
+        apply_strip(*dst, r.edge->recv, r.data);
+      }
     }
     records_.clear();
     for (const auto& pl : recv_peers_) p.channel_release(pl.peer, key_);
   }
 
   /// Blocking convenience: begin immediately followed by end (no overlap).
-  template <typename T>
-  void exchange_all(mpl::Process& p, BlockSet<T>& blocks) {
+  template <typename Blocks>
+  void exchange_all(mpl::Process& p, Blocks& blocks) {
     begin_exchange_all(p, blocks);
     end_exchange_all(p, blocks);
   }
@@ -230,6 +250,7 @@ class BlockExchangePlan2D {
   }
   [[nodiscard]] bool in_flight() const noexcept { return in_flight_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
+  [[nodiscard]] const BlockLayout2D& layout() const noexcept { return layout_; }
 
  private:
   /// One directed boundary pair: src block's `send` strip fills dst
@@ -256,13 +277,23 @@ class BlockExchangePlan2D {
 
   void compile(const BlockLayout2D& layout, std::vector<int> owner, int rank,
                const Options& options) {
-    assert(options.tag_block >= 0 && options.tag_block < kExchangeTagBlocks &&
-           "BlockExchangePlan2D: tag_block outside the exchange tag space");
-    assert(static_cast<int>(owner.size()) == layout.nblocks() &&
-           "BlockExchangePlan2D: owner map size != block count");
+    // Bad options would index the channel keys or the owner map out of
+    // bounds: refuse them in every build.
+    if (options.tag_block < 0 || options.tag_block >= kExchangeTagBlocks) {
+      throw std::invalid_argument(
+          "BlockExchangePlan2D: tag_block outside [0, kExchangeTagBlocks)");
+    }
+    if (static_cast<int>(owner.size()) != layout.nblocks()) {
+      throw std::invalid_argument(
+          "BlockExchangePlan2D: owner map size != block count");
+    }
     layout_ = layout;
     owner_ = std::move(owner);
     rank_ = rank;
+    const auto owned = std::ranges::count(owner_, rank);
+    sole_block_ = owned == 1 ? static_cast<int>(std::ranges::find(owner_, rank) -
+                                                owner_.begin())
+                             : -1;
     options_ = options;
     tag_ = static_cast<std::uint32_t>(kExchangeTagBase +
                                       options.tag_block * kExchangeTagStride + 27);
@@ -370,6 +401,19 @@ class BlockExchangePlan2D {
     records_.reserve(recv_entry_total_ + local_.entries.size());
   }
 
+  /// The field of block `id` (owned by this rank), or nullptr while it is
+  /// deallocated: the one place a round reaches a grid. A bare Grid2D is
+  /// the rank's sole block (check), so it answers for every id.
+  template <typename T>
+  static Grid2D<T>* owned_grid(BlockSet<T>& blocks, int id) {
+    auto& b = blocks.block(static_cast<std::size_t>(blocks.local_index(id)));
+    return b.allocated() ? &b.grid() : nullptr;
+  }
+  template <typename T>
+  static Grid2D<T>* owned_grid(Grid2D<T>& grid, int /*id*/) {
+    return &grid;
+  }
+
   /// Bytes of a round's records for `pl` when every source is allocated.
   template <typename T>
   [[nodiscard]] static std::size_t max_bytes(const PeerList& pl) noexcept {
@@ -377,18 +421,16 @@ class BlockExchangePlan2D {
            pl.total_count * sizeof(T);
   }
 
-  /// Write one wire record for edge `e` (owned source block) at `out`,
-  /// copying the strip's row segments straight from the grid; returns its
-  /// size.
+  /// Write one wire record for edge `e` at `out` from its source block's
+  /// field `src` (nullptr: deallocated), copying the strip's row segments
+  /// straight from the grid; returns its size.
   template <typename T>
-  static std::size_t write_record(std::byte* out, const BlockSet<T>& blocks,
+  static std::size_t write_record(std::byte* out, const Grid2D<T>* src,
                                   const BlockEdge& e) {
-    const auto& src =
-        blocks.block(static_cast<std::size_t>(blocks.local_index(e.src_id)));
-    const std::uint64_t status = src.allocated() ? 1 : 0;
+    const std::uint64_t status = src != nullptr ? 1 : 0;
     std::memcpy(out, &status, sizeof status);
     if (status == 0) return sizeof status;
-    const auto& g = src.grid();
+    const auto& g = *src;
     out += sizeof status;
     const auto w = static_cast<std::size_t>(e.send.j1 - e.send.j0) * sizeof(T);
     for (std::ptrdiff_t i = e.send.i0; i < e.send.i1; ++i, out += w) {
@@ -451,7 +493,7 @@ class BlockExchangePlan2D {
   }
 
   template <typename T>
-  void check_blockset(const BlockSet<T>& blocks) const {
+  void check(const BlockSet<T>& blocks) const {
     if (!(blocks.layout() == layout_) || blocks.rank() != rank_ ||
         blocks.owner_map() != owner_) {
       throw PlanShapeMismatch(
@@ -460,9 +502,41 @@ class BlockExchangePlan2D {
     }
   }
 
+  /// A bare grid must be the section of the one block this rank owns.
+  template <typename T>
+  void check(const Grid2D<T>& g) const {
+    if (sole_block_ < 0) {
+      throw PlanShapeMismatch(
+          "BlockExchangePlan2D: a bare grid needs a rank that owns one block");
+    }
+    const Range x = layout_.x_range(layout_.bx_of(sole_block_));
+    const Range y = layout_.y_range(layout_.by_of(sole_block_));
+    if (g.global_nx() != layout_.global_nx ||
+        g.global_ny() != layout_.global_ny || g.ghost() != layout_.ghost ||
+        g.x_range() != x || g.y_range() != y) {
+      throw PlanShapeMismatch(
+          "ExchangePlan2D: grid shape (" +
+          describe(g.global_nx(), g.global_ny(), g.x_range(), g.y_range(),
+                   g.ghost()) +
+          ") differs from the compiled plan (" +
+          describe(layout_.global_nx, layout_.global_ny, x, y, layout_.ghost) +
+          ")");
+    }
+  }
+
+  /// "nx x ny, ghost g, window [x0,x1)x[y0,y1) of GX x GY".
+  static std::string describe(std::size_t gnx, std::size_t gny, Range x,
+                              Range y, std::size_t ghost) {
+    const auto s = [](std::size_t v) { return std::to_string(v); };
+    return s(x.size()) + "x" + s(y.size()) + ", ghost " + s(ghost) +
+           ", window [" + s(x.lo) + "," + s(x.hi) + ")x[" + s(y.lo) + "," +
+           s(y.hi) + ") of " + s(gnx) + "x" + s(gny);
+  }
+
   BlockLayout2D layout_;
   std::vector<int> owner_;
   int rank_ = 0;
+  int sole_block_ = -1;  ///< the one block this rank owns, or -1
   Options options_;
   std::uint32_t tag_ = 0;
   int key_ = mpl::kPlanChannelBase;  ///< channel key of the tag block
@@ -477,6 +551,70 @@ class BlockExchangePlan2D {
   /// end_exchange_all's per-round record table, kept to reuse its capacity.
   std::vector<Record> records_;
   bool in_flight_ = false;
+};
+
+/// Options for an ExchangePlan2D.
+struct ExchangeOptions2 {
+  Periodicity periodic{};
+  /// Also exchange the diagonal (corner) strips; 9-point stencils need them.
+  bool corners = true;
+  /// Tag block index; plans simultaneously in flight need distinct blocks.
+  int tag_block = 0;
+};
+
+/// Halo exchange for one Grid2D per rank of a Cartesian process grid: the
+/// block plan at one block per rank, block (bx, by) being rank
+/// pgrid.rank_of(bx, by)'s section. A round sends one batched message per
+/// neighbor rank; self-wrap ghosts (a periodic axis one rank wide) are
+/// staged local copies. begin waits only for channel credit and snapshots
+/// what it sends; begin/end throw PlanShapeMismatch, before anything is
+/// sent, unless the grid is this rank's section of the compiled domain.
+class ExchangePlan2D {
+ public:
+  using Options = ExchangeOptions2;
+
+  ExchangePlan2D() = default;
+
+  /// Compile the plan for `rank`'s section `grid`; all ranks must compile
+  /// with consistent options. Throws std::invalid_argument for a tag_block
+  /// outside [0, kExchangeTagBlocks) or a ghost wider than some section.
+  template <typename T>
+  ExchangePlan2D(const mpl::CartGrid2D& pgrid, int rank, const Grid2D<T>& grid,
+                 Options options = Options())
+      : plan_(block_layout(pgrid, grid.global_nx(), grid.global_ny(),
+                           options.periodic, grid.ghost()),
+              block_owners(pgrid), rank,
+              {.corners = options.corners, .tag_block = options.tag_block}) {}
+
+  template <typename T>
+  void begin_exchange(mpl::Process& p, Grid2D<T>& grid) {
+    plan_.begin_exchange_all(p, grid);
+  }
+  template <typename T>
+  void end_exchange(mpl::Process& p, Grid2D<T>& grid) {
+    plan_.end_exchange_all(p, grid);
+  }
+  /// Blocking convenience: begin immediately followed by end (no overlap).
+  template <typename T>
+  void exchange(mpl::Process& p, Grid2D<T>& grid) {
+    plan_.exchange_all(p, grid);
+  }
+
+  /// Messages sent (== received) per exchange: one per neighbor rank.
+  [[nodiscard]] std::size_t transfer_count() const noexcept {
+    return plan_.off_rank_message_count();
+  }
+  /// Self-wrap local copies per exchange.
+  [[nodiscard]] std::size_t local_copy_count() const noexcept {
+    return plan_.local_copy_count();
+  }
+  [[nodiscard]] bool in_flight() const noexcept { return plan_.in_flight(); }
+  [[nodiscard]] std::size_t ghost() const noexcept {
+    return plan_.layout().ghost;
+  }
+
+ private:
+  BlockExchangePlan2D plan_;
 };
 
 }  // namespace ppa::mesh

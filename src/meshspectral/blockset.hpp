@@ -275,6 +275,8 @@ class MeshBlock {
 template <typename T>
 class BlockSet {
  public:
+  using value_type = T;
+
   BlockSet() = default;
 
   /// Build rank `rank`'s block set. With `allocate_all` (the dense default)

@@ -21,7 +21,7 @@
 //
 // Thread-safety and ownership: a Grid2D is owned by exactly one rank
 // (thread) — the container performs no synchronization and no communication
-// itself; ghost refresh goes through plan.hpp / blockplan.hpp. pack_region
+// itself; ghost refresh goes through blockplan.hpp. pack_region
 // returns a freshly owned buffer (safe to adopt as a message payload);
 // unpack_region accepts a borrowed span. Accessors never block.
 #pragma once
@@ -42,6 +42,8 @@ namespace ppa::mesh {
 template <typename T>
 class Grid2D {
  public:
+  using value_type = T;
+
   Grid2D() = default;
 
   /// Local section of a global (global_nx x global_ny) grid for `rank` in

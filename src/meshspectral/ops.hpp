@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <utility>
 
+#include "meshspectral/blockplan.hpp"
 #include "meshspectral/grid2d.hpp"
 #include "meshspectral/grid3d.hpp"
 #include "meshspectral/kernels.hpp"
@@ -194,8 +195,8 @@ void apply_stencil(Grid2D<U>& out, const Grid2D<T>& in, F&& f) {
 /// halo messages are in flight, complete the exchange, then update the rim.
 /// `width` is the stencil radius (<= the plan's ghost width). Results are
 /// identical to exchange-then-apply_stencil; only the schedule differs.
-/// `in` is non-const because begin_exchange performs self-wrap ghost copies
-/// on periodic single-rank axes (the interior is never written).
+/// `in` is non-const because end_exchange writes its ghost cells (the
+/// interior is never written).
 template <typename T, typename U, typename F>
 void apply_stencil_overlapped(mpl::Process& p, ExchangePlan2D& plan,
                               Grid2D<U>& out, Grid2D<T>& in, std::ptrdiff_t width,

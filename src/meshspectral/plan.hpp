@@ -1,35 +1,35 @@
 // ppa/meshspectral/plan.hpp
 //
-// Persistent halo-exchange plans with split begin/end phases — the access
-// pattern of the mesh archetype's ghost-cell refresh compiled once, at grid
-// construction time, into a reusable object (cf. fsgrid's updateGhostCells
-// and parthenon's boundary-exchange machinery; Danelutto et al. motivate
-// making the access pattern an explicit reusable object).
+// The exchange plans' shared vocabulary — PlanShapeMismatch, the tag-block
+// constants, periodicity selectors, Region2/Region3 rectangles and the
+// neighbor/slab arithmetic — and ExchangePlan3D, the persistent split-phase
+// halo exchange of one 3-D grid section per rank (the 2-D exchanges, for
+// block sets and for one Grid2D per rank, live in blockplan.hpp). A plan is
+// the mesh archetype's ghost-cell refresh compiled once, at grid
+// construction time, into a reusable object (cf. fsgrid's
+// updateGhostCells and parthenon's boundary-exchange machinery; Danelutto
+// et al. motivate making the access pattern an explicit reusable object).
 //
-// A plan records, for one rank of a Cartesian process grid and one local
-// section geometry (nx, ny[, nz], ghost width), the complete neighbor set —
-// faces, edges and corners — together with the pack rectangle sent to and
-// the unpack rectangle received from each neighbor, and the message tags
-// both sides agree on. Exchanging is then:
+// ExchangePlan3D records, for one rank of a Cartesian process grid and one
+// section geometry (nx, ny, nz, ghost width), the complete neighbor set —
+// faces, edges and corners — with the pack rectangle sent to and the
+// unpack rectangle received from each neighbor, and the message tags both
+// sides agree on. Exchanging is then:
 //
 //     plan.begin_exchange(p, grid);   // pack + send to every neighbor
 //     ... update interior (core) cells that read no ghosts ...
 //     plan.end_exchange(p, grid);     // receive + scatter into ghosts
 //     ... update boundary (rim) cells that do read ghosts ...
 //
-// so halo traffic is in flight while the solver updates its interior.
-// Unlike the historical sweep-per-axis relay (x, then y including the x
-// ghosts), a plan sends to *all* neighbors — diagonal ones included — in a
-// single round, which exchanges a width-k halo in one begin/end pair with
-// no intermediate synchronization.
+// so halo traffic is in flight while the solver updates its interior, and
+// a width-k halo, diagonal neighbors included, crosses in one begin/end
+// pair with no per-axis relay.
 //
-// Buffers: outgoing rectangles are packed into exact-capacity vectors whose
-// storage is adopted as the (immutable, refcounted) message payload — one
-// copy out, and payload immutability is why a plan cannot recycle one heap
-// block while a receiver may still hold a borrow of it. Incoming payloads
-// are borrowed and scattered straight into the ghost cells — one copy in.
-// Rectangle extents (hence allocation sizes) are precomputed at plan
-// compile time.
+// Transport and buffers: one mailbox message per neighbor direction.
+// Outgoing rectangles are packed into exact-capacity vectors whose storage
+// is adopted as the (immutable, refcounted) message payload — one copy
+// out. Incoming payloads are borrowed and scattered straight into the
+// ghost cells — one copy in.
 //
 // Thread-safety and ownership: a plan is owned by one rank (thread) and must
 // only be used with that rank's Process; it holds no reference to any grid —
@@ -53,18 +53,16 @@
 #include <string>
 #include <vector>
 
-#include "meshspectral/grid2d.hpp"
 #include "meshspectral/grid3d.hpp"
 #include "mpl/process.hpp"
 #include "mpl/topology.hpp"
 
 namespace ppa::mesh {
 
-/// Thrown when a plan's begin/end is handed a grid whose shape differs from
-/// the one the plan was compiled for. Plans deliberately hold no grid
-/// reference — one plan serves any same-shape grid (ping-pong pairs across
-/// std::swap) — so re-entry with a *different*-extent grid used to rely on
-/// caller discipline alone; now it is validated on every begin/end.
+/// Thrown when a plan's begin/end is handed a grid (or block set) whose shape
+/// differs from the one the plan was compiled for. Plans deliberately hold
+/// no grid reference — one plan serves any same-shape grid (ping-pong pairs
+/// across std::swap) — so the shape is validated on every begin/end.
 class PlanShapeMismatch : public std::logic_error {
  public:
   using std::logic_error::logic_error;
@@ -76,7 +74,7 @@ inline constexpr int kExchangeTagBase = 1 << 20;
 /// Tags per plan block (>= 27, the 3-D neighbor-direction count).
 inline constexpr int kExchangeTagStride = 32;
 /// Exchange-plan tag_block values must lie in [0, kExchangeTagBlocks) so
-/// they cannot reach the redistribution tag space (asserted at compile()).
+/// they cannot reach the redistribution tag space (checked at compile()).
 inline constexpr int kExchangeTagBlocks = 128;
 /// Tag base for row/column redistribution plans (see rowcol.hpp); starts
 /// right after the last exchange-plan block.
@@ -164,18 +162,6 @@ inline void recv_slab(int d, std::ptrdiff_t n, std::ptrdiff_t g, std::ptrdiff_t&
 
 }  // namespace detail
 
-/// Options for a 2-D exchange plan (namespace-scope so it is complete
-/// wherever it appears as a default argument).
-struct ExchangeOptions2 {
-  Periodicity periodic{};
-  /// Also exchange the diagonal (corner) blocks. Required for 9-point
-  /// stencils; 5-point stencils may turn this off to cut 4 small
-  /// messages per rank per exchange.
-  bool corners = true;
-  /// Tag block index; plans simultaneously in flight need distinct blocks.
-  int tag_block = 0;
-};
-
 /// Options for a 3-D exchange plan.
 struct ExchangeOptions3 {
   Periodicity3 periodic{};
@@ -185,166 +171,11 @@ struct ExchangeOptions3 {
   int tag_block = 0;
 };
 
-// ------------------------------------------------------------------- 2-D --
-
-/// Compiled halo-exchange schedule for one rank's 2-D grid section. The
-/// plan is geometry-only (no element type): begin/end are templated on the
-/// grid's value type, so one plan can serve grids of different types with
-/// the same shape.
-class ExchangePlan2D {
- public:
-  using Options = ExchangeOptions2;
-
-  ExchangePlan2D() = default;
-
-  /// Compile the plan for `rank`'s section of shape (nx x ny, ghost g) on
-  /// process grid `pgrid`. All ranks must compile with consistent options.
-  ExchangePlan2D(const mpl::CartGrid2D& pgrid, int rank, std::size_t nx,
-                 std::size_t ny, std::size_t ghost, Options options = Options()) {
-    compile(pgrid, rank, nx, ny, ghost, options);
-  }
-
-  /// Convenience: take the geometry from an existing grid section.
-  template <typename T>
-  ExchangePlan2D(const mpl::CartGrid2D& pgrid, int rank, const Grid2D<T>& grid,
-                 Options options = Options())
-      : ExchangePlan2D(pgrid, rank, grid.nx(), grid.ny(), grid.ghost(), options) {}
-
-  /// Pack and send every outgoing halo rectangle (never blocks) and perform
-  /// the self-wrap local copies. The sent data is a snapshot: interior
-  /// writes after begin do not alter what neighbors receive.
-  template <typename T>
-  void begin_exchange(mpl::Process& p, Grid2D<T>& grid) {
-    check_geometry(grid.nx(), grid.ny(), grid.ghost());
-    assert(!in_flight_ && "ExchangePlan2D: begin without matching end");
-    in_flight_ = true;
-    for (const auto& t : transfers_) {
-      p.send(t.peer, t.send_tag,
-             grid.pack_region(t.send.i0, t.send.i1, t.send.j0, t.send.j1));
-    }
-    for (const auto& c : copies_) {
-      grid.unpack_region(c.to.i0, c.to.i1, c.to.j0, c.to.j1,
-                         grid.pack_region(c.from.i0, c.from.i1, c.from.j0,
-                                          c.from.j1));
-    }
-  }
-
-  /// Block until every expected halo message has arrived and scatter each
-  /// payload into its ghost rectangle (borrowed, no intermediate copy).
-  template <typename T>
-  void end_exchange(mpl::Process& p, Grid2D<T>& grid) {
-    check_geometry(grid.nx(), grid.ny(), grid.ghost());
-    assert(in_flight_ && "ExchangePlan2D: end without begin");
-    in_flight_ = false;
-    for (const auto& t : transfers_) {
-      const auto strip = p.recv_borrow<T>(t.peer, t.recv_tag);
-      grid.unpack_region(t.recv.i0, t.recv.i1, t.recv.j0, t.recv.j1, strip.view());
-    }
-  }
-
-  /// Blocking convenience: begin immediately followed by end (no overlap).
-  template <typename T>
-  void exchange(mpl::Process& p, Grid2D<T>& grid) {
-    begin_exchange(p, grid);
-    end_exchange(p, grid);
-  }
-
-  /// Number of neighbor messages sent (== received) per exchange.
-  [[nodiscard]] std::size_t transfer_count() const noexcept {
-    return transfers_.size();
-  }
-  /// Number of self-wrap local copies per exchange.
-  [[nodiscard]] std::size_t local_copy_count() const noexcept {
-    return copies_.size();
-  }
-  [[nodiscard]] bool in_flight() const noexcept { return in_flight_; }
-  [[nodiscard]] std::size_t ghost() const noexcept { return ghost_; }
-
- private:
-  struct Transfer {
-    int peer = 0;
-    int send_tag = 0;
-    int recv_tag = 0;
-    Region2 send;
-    Region2 recv;
-  };
-  struct LocalCopy {
-    Region2 from;
-    Region2 to;
-  };
-
-  void compile(const mpl::CartGrid2D& pgrid, int rank, std::size_t nx,
-               std::size_t ny, std::size_t ghost, const Options& options) {
-    assert(options.tag_block >= 0 && options.tag_block < kExchangeTagBlocks &&
-           "ExchangePlan2D: tag_block outside the reserved exchange tag space");
-    nx_ = nx;
-    ny_ = ny;
-    ghost_ = ghost;
-    const auto g = static_cast<std::ptrdiff_t>(ghost);
-    if (g == 0) return;
-    const auto n_i = static_cast<std::ptrdiff_t>(nx);
-    const auto n_j = static_cast<std::ptrdiff_t>(ny);
-    assert(g <= n_i && g <= n_j &&
-           "ExchangePlan2D: ghost width exceeds the local section");
-    const auto [px, py] = pgrid.coords_of(rank);
-    const int base = kExchangeTagBase + options.tag_block * kExchangeTagStride;
-    const auto dir_tag = [base](int dx, int dy) {
-      return base + (dx + 1) * 3 + (dy + 1);
-    };
-
-    for (int dx = -1; dx <= 1; ++dx) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        if (dx == 0 && dy == 0) continue;
-        if (!options.corners && dx != 0 && dy != 0) continue;
-        int qx = 0, qy = 0;
-        if (!detail::axis_neighbor(px, dx, pgrid.npx(), options.periodic.x, qx) ||
-            !detail::axis_neighbor(py, dy, pgrid.npy(), options.periodic.y, qy)) {
-          continue;
-        }
-        const int peer = pgrid.rank_of(qx, qy);
-        Region2 send, recv;
-        detail::send_slab(dx, n_i, g, send.i0, send.i1);
-        detail::send_slab(dy, n_j, g, send.j0, send.j1);
-        detail::recv_slab(dx, n_i, g, recv.i0, recv.i1);
-        detail::recv_slab(dy, n_j, g, recv.j0, recv.j1);
-        if (peer == rank) {
-          // Self-wrap: the ghost at offset (dx, dy) is this rank's own
-          // interior slab that would have been sent toward (-dx, -dy).
-          Region2 from;
-          detail::send_slab(-dx, n_i, g, from.i0, from.i1);
-          detail::send_slab(-dy, n_j, g, from.j0, from.j1);
-          copies_.push_back({from, recv});
-        } else {
-          // The neighbor at offset d sent its strip toward -d, so the
-          // message filling our ghost at d carries the tag of direction -d.
-          transfers_.push_back({peer, dir_tag(dx, dy), dir_tag(-dx, -dy), send,
-                                recv});
-        }
-      }
-    }
-  }
-
-  void check_geometry(std::size_t nx, std::size_t ny, std::size_t ghost) const {
-    if (nx != nx_ || ny != ny_ || ghost != ghost_) {
-      throw PlanShapeMismatch(
-          "ExchangePlan2D: grid shape (" + std::to_string(nx) + "x" +
-          std::to_string(ny) + ", ghost " + std::to_string(ghost) +
-          ") differs from the compiled plan (" + std::to_string(nx_) + "x" +
-          std::to_string(ny_) + ", ghost " + std::to_string(ghost_) + ")");
-    }
-  }
-
-  std::size_t nx_ = 0, ny_ = 0, ghost_ = 0;
-  std::vector<Transfer> transfers_;
-  std::vector<LocalCopy> copies_;
-  bool in_flight_ = false;
-};
-
 // ------------------------------------------------------------------- 3-D --
 
-/// Compiled halo-exchange schedule for one rank's 3-D grid section: the 2-D
-/// plan generalized to the 26-neighbor set (faces, edges, corners), again in
-/// a single round per begin/end pair.
+/// Compiled halo-exchange schedule for one rank's 3-D grid section: the
+/// 26-neighbor set (faces, edges, corners) in a single round per begin/end
+/// pair.
 class ExchangePlan3D {
  public:
   using Options = ExchangeOptions3;

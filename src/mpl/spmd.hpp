@@ -39,6 +39,7 @@
 #pragma once
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "mpl/engine.hpp"
@@ -80,11 +81,19 @@ TraceSnapshot spmd_run(int nprocs, Body&& body) {
 /// per-rank results in rank order (and the trace via out-param if given).
 template <typename R, typename Body>
 std::vector<R> spmd_collect(int nprocs, Body&& body, TraceSnapshot* trace = nullptr) {
-  std::vector<R> results(static_cast<std::size_t>(nprocs));
+  // One slot object per rank: for R = bool a std::vector<R> packs the ranks'
+  // results into shared words, which concurrent ranks would write racily.
+  struct Slot {
+    R value;
+  };
+  std::vector<Slot> slots(static_cast<std::size_t>(nprocs));
   auto snapshot = spmd_run(nprocs, [&](Process& p) {
-    results[static_cast<std::size_t>(p.rank())] = body(p);
+    slots[static_cast<std::size_t>(p.rank())].value = body(p);
   });
   if (trace != nullptr) *trace = snapshot;
+  std::vector<R> results;
+  results.reserve(slots.size());
+  for (auto& s : slots) results.push_back(std::move(s.value));
   return results;
 }
 

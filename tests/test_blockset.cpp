@@ -414,9 +414,9 @@ TEST(BlockPlan, OneBlockPerRankMatchesExchangePlan2D) {
       &gtrace);
   EXPECT_EQ(block_ghosts, grid_ghosts);
   EXPECT_EQ(btrace.messages, gtrace.messages);
-  // The block wire format adds one status word per (block, neighbor) pair;
-  // at one block per rank that is one word per message.
-  EXPECT_EQ(btrace.bytes, gtrace.bytes + btrace.messages * sizeof(std::uint64_t));
+  // An ExchangePlan2D round is a block-plan round, so both send the same
+  // records: the 8-byte status word included.
+  EXPECT_EQ(btrace.bytes, gtrace.bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -687,6 +687,43 @@ TEST(BlockPlan, GhostWiderThanABlockThrowsTyped) {
   narrow_x.ghost = narrow_y.ghost = 1;
   EXPECT_NO_THROW({ BlockExchangePlan2D plan(narrow_x, owner, 0); });
   EXPECT_NO_THROW({ BlockExchangePlan2D plan(narrow_y, owner, 0); });
+}
+
+TEST(BlockPlan, TagBlockOutsideTheExchangeSpaceThrowsTyped) {
+  // A tag block past the last one would index the channel keys out of
+  // bounds; the check holds in every build.
+  const auto layout = make_layout(8, 8, 2, 2, {false, false});
+  const std::vector<int> owner(4, 0);
+  for (const int tb : {-1, mesh::kExchangeTagBlocks}) {
+    EXPECT_THROW(
+        { BlockExchangePlan2D plan(layout, owner, 0, {.tag_block = tb}); },
+        std::invalid_argument)
+        << "tag_block " << tb;
+  }
+  EXPECT_NO_THROW({
+    BlockExchangePlan2D plan(layout, owner, 0,
+                             {.tag_block = mesh::kExchangeTagBlocks - 1});
+  });
+  // The same check through the one-grid-per-rank plan's constructor.
+  const mpl::CartGrid2D pgrid(2, 2);
+  const mesh::Grid2D<double> g(8, 8, pgrid, 0, 1);
+  EXPECT_THROW(
+      {
+        mesh::ExchangePlan2D plan(
+            pgrid, 0, g,
+            mesh::ExchangeOptions2{{}, true, mesh::kExchangeTagBlocks});
+      },
+      std::invalid_argument);
+}
+
+TEST(BlockPlan, OwnerMapOfTheWrongSizeThrowsTyped) {
+  const auto layout = make_layout(8, 8, 2, 2, {false, false});
+  for (const std::size_t n : {std::size_t{0}, std::size_t{3}, std::size_t{5}}) {
+    EXPECT_THROW(
+        { BlockExchangePlan2D plan(layout, std::vector<int>(n, 0), 0); },
+        std::invalid_argument)
+        << "owner map of " << n << " entries";
+  }
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Tests for the persistent halo-exchange plans (meshspectral/plan.hpp):
+// Tests for the persistent halo-exchange plans (meshspectral/plan.hpp and
+// the one-grid-per-rank ExchangePlan2D in blockplan.hpp):
 // halo correctness on non-square and odd-sized grids, periodic vs
 // non-periodic vs mixed boundaries, width-2 halos, one-round message
 // counts, snapshot-at-begin semantics, re-entry across iterations without
@@ -137,6 +138,30 @@ TEST(ExchangePlan, WidthTwoHaloCrossesInOneRound) {
     // 2x2 grid: 4 orthogonal pairs + 2 diagonal pairs, 2 messages each.
     EXPECT_EQ(trace.messages, 12u) << "ghost width " << ghost;
   }
+}
+
+TEST(ExchangePlan, PeerReachedThroughSixDirectionsGetsOneMessage) {
+  // Two ranks along a periodic x axis, periodic y one rank wide, corners
+  // on: each rank's x neighbor sits at (+-1, -1), (+-1, 0) and (+-1, +1),
+  // six directions, and all six strips travel in one coalesced message per
+  // round. The two y faces are self-wrap copies. (PlanHalo's P2 periodic
+  // case checks the ghost values of this configuration.)
+  const mpl::CartGrid2D pg(2, 1);
+  mpl::TraceSnapshot trace;
+  mpl::spmd_collect<int>(
+      2,
+      [&](mpl::Process& p) {
+        Grid2D<double> g(8, 6, pg, p.rank(), 1);
+        mesh::ExchangePlan2D plan(
+            pg, p.rank(), g,
+            mesh::ExchangePlan2D::Options{{true, true}, true, 0});
+        EXPECT_EQ(plan.transfer_count(), 1u);
+        EXPECT_EQ(plan.local_copy_count(), 2u);
+        plan.exchange(p, g);
+        return 0;
+      },
+      &trace);
+  EXPECT_EQ(trace.messages, 2u);
 }
 
 TEST(ExchangePlan, CornerlessPlanSkipsDiagonalMessages) {
@@ -445,6 +470,30 @@ TEST(ExchangePlan, MismatchedGridShapeThrowsTyped) {
     // still usable with a conforming grid.
     plan.begin_exchange(p, g);
     plan.end_exchange(p, g);
+  });
+}
+
+TEST(ExchangePlan, GridOverAnotherWindowThrowsTyped) {
+  // Same nx, ny and ghost as the compiled section, but another part of the
+  // domain (rank 1's window handed to rank 0's plan, and the same window of
+  // a wider domain): still not the grid the plan was compiled for.
+  mpl::spmd_run(2, [&](mpl::Process& p) {
+    const mpl::CartGrid2D pg(2, 1);
+    Grid2D<double> g(8, 6, pg, p.rank(), 1);
+    mesh::ExchangePlan2D plan(pg, p.rank(), g);
+    Grid2D<double> other_window(8, 6, pg, 1 - p.rank(), 1);
+    Grid2D<double> other_domain(8, 7, g.x_range(), g.y_range(), 1);
+    ASSERT_EQ(other_window.nx(), g.nx());
+    for (Grid2D<double>* wrong : {&other_window, &other_domain}) {
+      try {
+        plan.begin_exchange(p, *wrong);
+        FAIL() << "expected PlanShapeMismatch";
+      } catch (const mesh::PlanShapeMismatch& e) {
+        EXPECT_NE(std::string(e.what()).find("shape"), std::string::npos);
+      }
+      EXPECT_FALSE(plan.in_flight());
+    }
+    plan.exchange(p, g);
   });
 }
 

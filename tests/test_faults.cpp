@@ -633,31 +633,59 @@ double plan_round_fingerprint(Process& p, int throw_rank) {
   return p.allreduce(ghosts, SumOp{});
 }
 
-TEST(ChannelFaults, ThrowBetweenBeginAndEndLeavesEngineReusable) {
-  auto engine = std::make_shared<Engine>(4);
-  Scheduler sched(engine);
-  double reference = 0.0;
-  const auto clean = sched.run(4, [&](Process& p) {
-    const double f = plan_round_fingerprint(p, -1);
-    if (p.rank() == 0) reference = f;
+/// The same round through ExchangePlan2D: one Grid2D per rank of the 2x2
+/// periodic process grid, which is the 2x2-block layout above.
+double grid_plan_round_fingerprint(Process& p, int throw_rank) {
+  const mpl::CartGrid2D pgrid(2, 2);
+  mesh::Grid2D<double> g(12, 10, pgrid, p.rank(), 1);
+  g.init_from_global([](std::size_t i, std::size_t j) {
+    return 1.0 + static_cast<double>(i * 31 + j) / 7.0;
   });
-  ASSERT_NE(reference, 0.0);
-  for (int victim = 0; victim < 4; ++victim) {
-    // The victim published its round and never receives its peers' halos:
-    // their channels into it are left full. The next job must not see them.
-    EXPECT_THROW(sched.run(4, [&](Process& p) {
-                   (void)plan_round_fingerprint(p, victim);
-                 }),
-                 std::runtime_error);
-    double again = 0.0;
-    const auto trace = sched.run(4, [&](Process& p) {
-      const double f = plan_round_fingerprint(p, -1);
-      if (p.rank() == 0) again = f;
+  mesh::ExchangePlan2D plan(
+      pgrid, p.rank(), g,
+      mesh::ExchangePlan2D::Options{mesh::Periodicity{true, true}, true, 0});
+  plan.begin_exchange(p, g);
+  if (p.rank() == throw_rank) throw std::runtime_error("between begin and end");
+  plan.end_exchange(p, g);
+  double ghosts = 0.0;
+  const auto nx = static_cast<std::ptrdiff_t>(g.nx());
+  const auto ny = static_cast<std::ptrdiff_t>(g.ny());
+  for (std::ptrdiff_t i = -1; i <= nx; ++i) {
+    for (std::ptrdiff_t j = -1; j <= ny; ++j) {
+      if (i < 0 || j < 0 || i == nx || j == ny) ghosts += g(i, j);
+    }
+  }
+  return p.allreduce(ghosts, SumOp{});
+}
+
+TEST(ChannelFaults, ThrowBetweenBeginAndEndLeavesEngineReusable) {
+  for (auto* fingerprint :
+       {&plan_round_fingerprint, &grid_plan_round_fingerprint}) {
+    auto engine = std::make_shared<Engine>(4);
+    Scheduler sched(engine);
+    double reference = 0.0;
+    const auto clean = sched.run(4, [&](Process& p) {
+      const double f = fingerprint(p, -1);
+      if (p.rank() == 0) reference = f;
     });
-    EXPECT_EQ(std::memcmp(&again, &reference, sizeof again), 0)
-        << "victim " << victim;
-    EXPECT_EQ(trace.messages, clean.messages);
-    EXPECT_EQ(trace.bytes, clean.bytes);
+    ASSERT_NE(reference, 0.0);
+    for (int victim = 0; victim < 4; ++victim) {
+      // The victim published its round and never receives its peers' halos:
+      // their channels into it are left full. The next job must not see them.
+      EXPECT_THROW(sched.run(4, [&](Process& p) {
+                     (void)fingerprint(p, victim);
+                   }),
+                   std::runtime_error);
+      double again = 0.0;
+      const auto trace = sched.run(4, [&](Process& p) {
+        const double f = fingerprint(p, -1);
+        if (p.rank() == 0) again = f;
+      });
+      EXPECT_EQ(std::memcmp(&again, &reference, sizeof again), 0)
+          << "victim " << victim;
+      EXPECT_EQ(trace.messages, clean.messages);
+      EXPECT_EQ(trace.bytes, clean.bytes);
+    }
   }
 }
 
